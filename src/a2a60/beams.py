@@ -64,8 +64,7 @@ class BeamPairRanking:
         return self.pairs[rank - 1]
 
 
-def rank_beam_pairs(records: list[BeamScanRecord],
-                    window_size: int = SCAN_WINDOW_BEAMS) -> BeamPairRanking:
+def rank_beam_pairs(records: list[BeamScanRecord]) -> BeamPairRanking:
     """Sort one point's beam-scan records ascending by path loss."""
     records = list(records)
     if not records:
@@ -77,10 +76,10 @@ def rank_beam_pairs(records: list[BeamScanRecord],
             raise ValueError(
                 f"mixed measurement points in one scan: {key} and {(r.distance_m, r.height_m)}"
             )
-        if not (0 <= r.tx_beam_idx < window_size and 0 <= r.rx_beam_idx < window_size):
+        if not (0 <= r.tx_beam_idx < SCAN_WINDOW_BEAMS and 0 <= r.rx_beam_idx < SCAN_WINDOW_BEAMS):
             raise ValueError(
                 f"beam index ({r.tx_beam_idx}, {r.rx_beam_idx}) outside the "
-                f"[0, {window_size}) scan window"
+                f"[0, {SCAN_WINDOW_BEAMS}) scan window"
             )
         pair = (r.tx_beam_idx, r.rx_beam_idx)
         if pair in seen:

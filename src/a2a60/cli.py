@@ -4,7 +4,9 @@ Four subcommands: `fit` (estimate a path-loss law from aggregated
 measurements), `compare` (evaluate the fitted law against the terrestrial
 reference models and free space over a distance grid), `sample` (draw
 shadowed path-loss values), and `report` (regenerate the campaign tables
-side by side with the published values).
+side by side with the published values). `fit`, `compare` and `report` read
+aggregated points from `--input` or the bundled data through one loader, which
+rejects a raw-trial CSV in every subcommand: aggregate raw trials first.
 
 Results go to stdout, diagnostics to stderr; the exit code is nonzero iff a
 diagnostic was emitted. Output contains no timestamps, so identical
@@ -19,18 +21,16 @@ import json
 import sys
 
 from . import published
-from .beams import PUBLISHED_TABLE
 from .dataset import (
     RANK_FILES,
     RawTrialRecord,
-    _open_fixture,
     load_csv,
     load_measurement_points,
     load_rank_points,
     to_fit_points,
 )
 from .fitting import fit_ci, fit_fi
-from .pathloss import CiModel, FiModel, free_space_pl, friis_reference_pl, mean_pl, sample_pl
+from .pathloss import CiModel, FiModel, free_space_pl, mean_pl, sample_pl
 from .tr38901 import SCENARIOS, pl_3gpp_los, scenario_defaults
 
 FORMATS = ("csv", "json", "markdown-table")
@@ -76,16 +76,21 @@ def _emit(fmt: str, columns, rows, out=None) -> None:
         raise ValueError(f"unknown output format {fmt!r}")
 
 
+def _read_points(args):
+    """Aggregated points from --input or the bundled fixture; raw trials are rejected."""
+    if not args.input:
+        return load_measurement_points()
+    points = load_csv(args.input)
+    if points and isinstance(points[0], RawTrialRecord):
+        raise ValueError(
+            f"{args.command} expects the aggregated schema "
+            "(distance_m,height_m,rank,path_loss_db); aggregate raw trials first"
+        )
+    return points
+
+
 def _load_points(args):
-    if args.input:
-        points = load_csv(args.input)
-        if points and isinstance(points[0], RawTrialRecord):
-            raise ValueError(
-                "fit expects the aggregated schema (distance_m,height_m,rank,path_loss_db); "
-                "aggregate raw trials first"
-            )
-    else:
-        points = load_measurement_points()
+    points = _read_points(args)
     height = "all" if args.height == "all" else float(args.height)
     if args.rank == "all":
         rank = "all"
@@ -98,14 +103,9 @@ def _load_points(args):
 
 def cmd_fit(args) -> None:
     points = _load_points(args)
-    if args.model == "ci":
-        report = fit_ci(points, args.freq_ghz)
-        intercept = friis_reference_pl(args.freq_ghz)
-    else:
-        report = fit_fi(points)
-        intercept = report.model.intercept_db
+    report = fit_ci(points, args.freq_ghz) if args.model == "ci" else fit_fi(points)
     columns = ("model", "points", "intercept_db", "ple", "sigma_db", "mse_db2")
-    rows = [(args.model, report.point_count, intercept, report.model.ple,
+    rows = [(args.model, report.point_count, report.model.intercept_db, report.model.ple,
              report.sigma_db, report.mse_db2)]
     _emit(args.format, columns, rows)
 
@@ -128,8 +128,7 @@ def _parse_distances(spec: str) -> list[float]:
 
 def cmd_compare(args) -> None:
     distances = _parse_distances(args.distances)
-    points = to_fit_points(load_csv(args.input) if args.input else load_measurement_points())
-    ci = fit_ci(points, args.freq_ghz).model
+    ci = fit_ci(to_fit_points(_read_points(args)), args.freq_ghz).model
     params = {name: scenario_defaults(name) for name in SCENARIOS}
     columns = ("distance_m", "ci_fit", "umi", "uma", "rma", "inoo", "fspl")
     rows = []
@@ -147,124 +146,102 @@ def cmd_compare(args) -> None:
 
 
 def cmd_sample(args) -> None:
+    pub = published.TABLE1[args.model]
+    ple = pub["ple"] if args.ple is None else args.ple
+    sigma = pub["sigma"] if args.sigma is None else args.sigma
     if args.model == "ci":
-        ple = published.TABLE1["ci"]["ple"] if args.ple is None else args.ple
-        sigma = published.TABLE1["ci"]["sigma"] if args.sigma is None else args.sigma
         model = CiModel(args.freq_ghz, ple, sigma)
     else:
-        intercept = published.TABLE1["fi"]["intercept_db"] if args.intercept is None else args.intercept
-        ple = published.TABLE1["fi"]["ple"] if args.ple is None else args.ple
-        sigma = published.TABLE1["fi"]["sigma"] if args.sigma is None else args.sigma
-        model = FiModel(intercept, ple, sigma)
+        model = FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
+                        ple, sigma)
     for value in sample_pl(model, args.distance, args.n, args.seed):
         print(repr(float(value)))
 
 
-def _delta(computed, reference):
-    if computed is None or reference is None:
-        return None
-    return abs(computed - reference)
+def _row(section, param, computed, pub, note=""):
+    """One report row; abs_delta is empty unless both values are present."""
+    delta = None if computed is None or pub is None else abs(computed - pub)
+    return (section, param, computed, pub, delta, note)
 
 
-def _fit_rows(section, report, intercept, pub_intercept, pub_ple, pub_sigma, note=""):
-    rows = [
-        (section, "intercept_db", intercept, pub_intercept, _delta(intercept, pub_intercept), note),
-        (section, "ple", report.model.ple, pub_ple, _delta(report.model.ple, pub_ple), note),
-        (section, "mean_sq_resid_db2", report.mse_db2, pub_sigma,
-         _delta(report.mse_db2, pub_sigma), _MSE_NOTE),
-        (section, "sigma_db", report.sigma_db, None, None, "rms residual of this fit"),
+def _residual_rows(section, report, pub_sigma):
+    return [
+        _row(section, "mean_sq_resid_db2", report.mse_db2, pub_sigma, _MSE_NOTE),
+        _row(section, "sigma_db", report.sigma_db, None, "rms residual of this fit"),
     ]
-    return rows
+
+
+def _fit_rows(section, report, pub):
+    return [
+        _row(section, "intercept_db", report.model.intercept_db, pub["intercept_db"]),
+        _row(section, "ple", report.model.ple, pub["ple"]),
+        *_residual_rows(section, report, pub["sigma"]),
+    ]
 
 
 def _report_table1(args):
-    points = to_fit_points(load_csv(args.input) if args.input else load_measurement_points())
-    ci = fit_ci(points, args.freq_ghz)
-    fi = fit_fi(points)
-    rows = _fit_rows("ci", ci, friis_reference_pl(args.freq_ghz),
-                     published.TABLE1["ci"]["intercept_db"], published.TABLE1["ci"]["ple"],
-                     published.TABLE1["ci"]["sigma"])
-    rows += _fit_rows("fi", fi, fi.model.intercept_db,
-                      published.TABLE1["fi"]["intercept_db"], published.TABLE1["fi"]["ple"],
-                      published.TABLE1["fi"]["sigma"])
-    return rows
+    points = to_fit_points(_read_points(args))
+    return (_fit_rows("ci", fit_ci(points, args.freq_ghz), published.TABLE1["ci"])
+            + _fit_rows("fi", fit_fi(points), published.TABLE1["fi"]))
 
 
 def _report_table2(args):
-    points = load_csv(args.input) if args.input else load_measurement_points()
+    points = _read_points(args)
     rows = []
     mirror = "published h=6 / h=15 columns are mirrored relative to the bundled series"
     for key, label in (("all", "all"), (6.0, "h=6"), (12.0, "h=12"), (15.0, "h=15")):
         report = fit_ci(to_fit_points(points, height=key), args.freq_ghz)
         note = mirror if key in (6.0, 15.0) else ""
-        tkey = "all" if key == "all" else key
-        rows.append((label, "ple", report.model.ple, published.TABLE2_PLE[tkey],
-                     _delta(report.model.ple, published.TABLE2_PLE[tkey]), note))
-        rows.append((label, "mean_sq_resid_db2", report.mse_db2, published.TABLE2_SIGMA[tkey],
-                     _delta(report.mse_db2, published.TABLE2_SIGMA[tkey]), _MSE_NOTE))
-        rows.append((label, "sigma_db", report.sigma_db, None, None, "rms residual of this fit"))
+        rows.append(_row(label, "ple", report.model.ple, published.TABLE2_PLE[key], note))
+        rows += _residual_rows(label, report, published.TABLE2_SIGMA[key])
     return rows
 
 
 def _report_table3(args):
-    missing = []
+    rank_points, missing = {}, []
     for rank, name in RANK_FILES.items():
         try:
-            with _open_fixture(name):
-                pass
+            rank_points[rank] = load_rank_points(rank)
         except FileNotFoundError:
             missing.append(name)
     if missing:
         raise ValueError(f"missing rank fixtures: {', '.join(sorted(missing))}")
 
-    best = to_fit_points(load_csv(args.input) if args.input else load_measurement_points())
+    reports = {1: fit_ci(to_fit_points(_read_points(args)), args.freq_ghz)}
+    for rank, points in rank_points.items():
+        reports[rank] = fit_fi(to_fit_points(points, rank=rank))
     needs_beams = "requires beam-level data"
     rows = []
     for rank in range(1, 10):
         section = f"rank {rank}"
+        report = reports.get(rank)
+        if report is None:
+            values, notes = (None, None, None), (needs_beams,) * 3
+        else:
+            values = (report.model.ple, report.model.intercept_db, report.mse_db2)
+            notes = ("", "", _MSE_NOTE)
+        for param, value, pub, note in zip(
+                ("ple", "intercept_db", "mean_sq_resid_db2"), values,
+                (published.TABLE3_PLE, published.TABLE3_INTERCEPT_DB, published.TABLE3_SIGMA),
+                notes):
+            rows.append(_row(section, param, value, pub[rank], note))
         if rank == 1:
-            report = fit_ci(best, args.freq_ghz)
-            intercept = friis_reference_pl(args.freq_ghz)
-        elif rank in RANK_FILES:
-            report = fit_fi(to_fit_points(load_rank_points(rank), rank=rank))
-            intercept = report.model.intercept_db
+            rows.append(_row(section, "delta_deg", 0.0, published.TABLE3_DELTA_DEG[rank],
+                             "zero by definition for the best pair"))
         else:
-            report = None
-        if report is not None:
-            rows.append((section, "ple", report.model.ple, published.TABLE3_PLE[rank],
-                         _delta(report.model.ple, published.TABLE3_PLE[rank]), ""))
-            rows.append((section, "intercept_db", intercept, published.TABLE3_INTERCEPT_DB[rank],
-                         _delta(intercept, published.TABLE3_INTERCEPT_DB[rank]), ""))
-            rows.append((section, "mean_sq_resid_db2", report.mse_db2, published.TABLE3_SIGMA[rank],
-                         _delta(report.mse_db2, published.TABLE3_SIGMA[rank]), _MSE_NOTE))
-        else:
-            for param, pub in (("ple", published.TABLE3_PLE[rank]),
-                               ("intercept_db", published.TABLE3_INTERCEPT_DB[rank]),
-                               ("mean_sq_resid_db2", published.TABLE3_SIGMA[rank])):
-                rows.append((section, param, None, pub, None, needs_beams))
-        delta_pub = published.TABLE3_DELTA_DEG[rank]
-        if rank == 1:
-            rows.append((section, "delta_deg", 0.0, delta_pub, _delta(0.0, delta_pub),
-                         "zero by definition for the best pair"))
-        else:
-            rows.append((section, "delta_deg", None, delta_pub, None, needs_beams))
+            rows.append(_row(section, "delta_deg", None, published.TABLE3_DELTA_DEG[rank],
+                             needs_beams))
     return rows
 
 
 def _report_conclusion(args):
-    points = to_fit_points(load_csv(args.input) if args.input else load_measurement_points())
-    report = fit_ci(points, args.freq_ghz)
-    intercept = friis_reference_pl(args.freq_ghz)
-    slope = 10.0 * report.model.ple
+    report = fit_ci(to_fit_points(_read_points(args)), args.freq_ghz)
     pub = published.CONCLUSION
     return [
-        ("conclusion", "intercept_db", intercept, pub["intercept_db"],
-         _delta(intercept, pub["intercept_db"]), ""),
-        ("conclusion", "slope_db_per_decade", slope, pub["slope_db_per_decade"],
-         _delta(slope, pub["slope_db_per_decade"]), ""),
-        ("conclusion", "mean_sq_resid_db2", report.mse_db2, pub["sigma"],
-         _delta(report.mse_db2, pub["sigma"]), _MSE_NOTE),
-        ("conclusion", "sigma_db", report.sigma_db, None, None, "rms residual of this fit"),
+        _row("conclusion", "intercept_db", report.model.intercept_db, pub["intercept_db"]),
+        _row("conclusion", "slope_db_per_decade", 10.0 * report.model.ple,
+             pub["slope_db_per_decade"]),
+        *_residual_rows("conclusion", report, pub["sigma"]),
     ]
 
 
@@ -288,15 +265,6 @@ def cmd_report(args) -> None:
     _emit(args.format, REPORT_COLUMNS, rows)
 
 
-def _add_common_fit_flags(sub):
-    sub.add_argument("--input", default=None, help="aggregated-schema CSV (default: bundled data)")
-    sub.add_argument("--height", default="all", help='height filter in meters, or "all"')
-    sub.add_argument("--rank", default="all", help='beam-pair rank filter, "none" for best pair, or "all"')
-    sub.add_argument("--freq-ghz", type=float, default=published.CARRIER_FREQ_GHZ,
-                     help="carrier frequency in GHz")
-    sub.add_argument("--format", choices=FORMATS, default="csv")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="a2a60",
@@ -304,24 +272,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    fit = subs.add_parser("fit", help="fit a path-loss law to aggregated measurements")
+    # shared flags, each declared once: every subcommand takes the carrier, and
+    # fit, compare and report also read points and format a table
+    carrier = argparse.ArgumentParser(add_help=False)
+    carrier.add_argument("--freq-ghz", type=float, default=published.CARRIER_FREQ_GHZ,
+                         help="carrier frequency in GHz")
+    table = argparse.ArgumentParser(add_help=False, parents=[carrier])
+    table.add_argument("--input", default=None, help="aggregated-schema CSV (default: bundled data)")
+    table.add_argument("--format", choices=FORMATS, default="csv")
+
+    fit = subs.add_parser("fit", parents=[table],
+                          help="fit a path-loss law to aggregated measurements")
     fit.add_argument("--model", choices=("ci", "fi"), required=True)
-    _add_common_fit_flags(fit)
+    fit.add_argument("--height", default="all", help='height filter in meters, or "all"')
+    fit.add_argument("--rank", default="all",
+                     help='beam-pair rank filter, "none" for best pair, or "all"')
     fit.set_defaults(func=cmd_fit)
 
-    compare = subs.add_parser("compare", help="tabulate fitted, reference and free-space losses")
-    compare.add_argument("--distances", default="6:40:2", help="distance grid START:STOP:STEP in meters")
-    compare.add_argument("--input", default=None, help="aggregated-schema CSV (default: bundled data)")
-    compare.add_argument("--freq-ghz", type=float, default=published.CARRIER_FREQ_GHZ)
-    compare.add_argument("--format", choices=FORMATS, default="csv")
+    compare = subs.add_parser("compare", parents=[table],
+                              help="tabulate fitted, reference and free-space losses")
+    compare.add_argument("--distances", default="6:40:2",
+                         help="distance grid START:STOP:STEP in meters")
     compare.set_defaults(func=cmd_compare)
 
-    sample = subs.add_parser("sample", help="draw shadowed path-loss values, one per line")
+    sample = subs.add_parser("sample", parents=[carrier],
+                             help="draw shadowed path-loss values, one per line")
     sample.add_argument("--model", choices=("ci", "fi"), default="ci")
     sample.add_argument("--distance", type=float, required=True, help="distance in meters")
     sample.add_argument("--n", type=int, required=True, help="number of samples")
     sample.add_argument("--seed", type=int, default=0, help="generator seed")
-    sample.add_argument("--freq-ghz", type=float, default=published.CARRIER_FREQ_GHZ)
     sample.add_argument("--ple", type=float, default=None,
                         help="path-loss exponent (default: published model)")
     sample.add_argument("--sigma", type=float, default=None,
@@ -330,13 +309,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="floating intercept in dB (fi model only)")
     sample.set_defaults(func=cmd_sample)
 
-    report = subs.add_parser("report", help="regenerate a published table with deltas")
+    report = subs.add_parser("report", parents=[table],
+                             help="regenerate a published table with deltas")
     report.add_argument("--which", choices=("table1", "table2", "table3", "conclusion"),
                         required=True)
-    report.add_argument("--input", default=None,
-                        help="best-beam aggregated CSV (default: bundled data)")
-    report.add_argument("--freq-ghz", type=float, default=published.CARRIER_FREQ_GHZ)
-    report.add_argument("--format", choices=FORMATS, default="csv")
     report.set_defaults(func=cmd_report)
 
     return parser

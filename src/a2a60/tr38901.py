@@ -28,6 +28,9 @@ SCENARIOS = ("umi", "uma", "rma", "inoo")
 # LOS applicability limit on distance, per scenario
 _MAX_DISTANCE_M = {"umi": 5_000.0, "uma": 5_000.0, "rma": 10_000.0, "inoo": 150.0}
 
+# (constant, pre-breakpoint slope, breakpoint-correction factor) of the one UMi/UMa law
+_UMI_UMA_COEFFICIENTS = {"umi": (32.4, 21.0, 9.5), "uma": (28.0, 22.0, 9.0)}
+
 _DEFAULT_HEIGHTS_M = {  # (BS height, UT height)
     "umi": (10.0, 1.5),
     "uma": (25.0, 1.5),
@@ -40,22 +43,21 @@ _DEFAULT_HEIGHTS_M = {  # (BS height, UT height)
 class ScenarioParams:
     """Deployment geometry for one LOS scenario.
 
-    `avg_building_height_m` and `street_width_m` only matter for RMa;
-    `oxygen_alpha_db_per_km` is the linear atmospheric absorption applied on
-    top of the standard's loss.
+    `avg_building_height_m` only matters for RMa (its LOS law has no street
+    width term); `oxygen_alpha_db_per_km` is the linear atmospheric
+    absorption applied on top of the standard's loss.
     """
 
     scenario: str
     bs_height_m: float
     ut_height_m: float
     avg_building_height_m: float = 5.0
-    street_width_m: float = 20.0
     oxygen_alpha_db_per_km: float = DEFAULT_OXYGEN_ALPHA_DB_PER_KM
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
-        for name in ("bs_height_m", "ut_height_m", "avg_building_height_m", "street_width_m"):
+        for name in ("bs_height_m", "ut_height_m", "avg_building_height_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.oxygen_alpha_db_per_km < 0:
@@ -82,30 +84,19 @@ def oxygen_loss(distance_m: float, alpha_db_per_km: float) -> float:
     return alpha_db_per_km * distance_m / 1000.0
 
 
-def _breakpoint_umi_uma(params: ScenarioParams, freq_ghz: float) -> float:
+def _pl_umi_uma(params, freq_ghz, d):
+    const, slope, bp_coeff = _UMI_UMA_COEFFICIENTS[params.scenario]
     h_bs = params.bs_height_m - ENVIRONMENT_HEIGHT_M
     h_ut = params.ut_height_m - ENVIRONMENT_HEIGHT_M
     if h_bs <= 0 or h_ut <= 0:
         raise ValueError(
             f"antenna heights must exceed the {ENVIRONMENT_HEIGHT_M:g} m environment height"
         )
-    return 4.0 * h_bs * h_ut * freq_ghz * 1e9 / BREAKPOINT_C_M_S
-
-
-def _pl_umi(params, freq_ghz, d):
-    if d <= _breakpoint_umi_uma(params, freq_ghz):
-        return 32.4 + 21.0 * math.log10(d) + 20.0 * math.log10(freq_ghz)
-    return (32.4 + 40.0 * math.log10(d) + 20.0 * math.log10(freq_ghz)
-            - 9.5 * math.log10(_breakpoint_umi_uma(params, freq_ghz) ** 2
-                               + (params.bs_height_m - params.ut_height_m) ** 2))
-
-
-def _pl_uma(params, freq_ghz, d):
-    if d <= _breakpoint_umi_uma(params, freq_ghz):
-        return 28.0 + 22.0 * math.log10(d) + 20.0 * math.log10(freq_ghz)
-    return (28.0 + 40.0 * math.log10(d) + 20.0 * math.log10(freq_ghz)
-            - 9.0 * math.log10(_breakpoint_umi_uma(params, freq_ghz) ** 2
-                               + (params.bs_height_m - params.ut_height_m) ** 2))
+    d_bp = 4.0 * h_bs * h_ut * freq_ghz * 1e9 / BREAKPOINT_C_M_S
+    if d <= d_bp:
+        return const + slope * math.log10(d) + 20.0 * math.log10(freq_ghz)
+    return (const + 40.0 * math.log10(d) + 20.0 * math.log10(freq_ghz)
+            - bp_coeff * math.log10(d_bp ** 2 + (params.bs_height_m - params.ut_height_m) ** 2))
 
 
 def _pl_rma(params, freq_ghz, d):
@@ -128,7 +119,7 @@ def _pl_inoo(params, freq_ghz, d):
     return 32.4 + 17.3 * math.log10(d) + 20.0 * math.log10(freq_ghz)
 
 
-_DISPATCH = {"umi": _pl_umi, "uma": _pl_uma, "rma": _pl_rma, "inoo": _pl_inoo}
+_DISPATCH = {"umi": _pl_umi_uma, "uma": _pl_umi_uma, "rma": _pl_rma, "inoo": _pl_inoo}
 
 
 def pl_3gpp_los(params: ScenarioParams, freq_ghz: float, distance_m: float) -> float:

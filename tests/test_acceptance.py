@@ -5,10 +5,12 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import statistics
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,8 +39,11 @@ F = 60.48
 
 
 def run_cli(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "a2a60.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "a2a60.cli", *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 

@@ -1,20 +1,65 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
+from a2a60.cli import main
+from a2a60.dataset import RAW_COLUMNS
 
-def run_cli(*args, env=None):
+REPO = Path(__file__).resolve().parents[1]
+GOLDENS = REPO / "bench" / "goldens.json"
+FORMATS = ("csv", "json", "markdown-table")
+# the fixed-argument commands whose stdout sha256 bench/goldens.json pins
+GOLDEN_COMMANDS = {
+    "fit-ci": ["fit", "--model", "ci"],
+    "fit-fi-json": ["fit", "--model", "fi", "--format", "json"],
+    "fit-ci-h12-markdown": ["fit", "--model", "ci", "--height", "12",
+                            "--format", "markdown-table"],
+    **{f"report-{which}-{fmt}": ["report", "--which", which, "--format", fmt]
+       for which in ("table1", "table2", "table3", "conclusion") for fmt in FORMATS},
+    "compare": ["compare"],
+    "sample-1000": ["sample", "--distance", "20", "--n", "1000"],
+    "compare-dense": ["compare", "--distances", "1:150:0.01"],
+    "sample-dense": ["sample", "--distance", "20", "--n", "1000000", "--seed", "7"],
+}
+
+
+class CliResult(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys):
+    """Run `a2a60.cli.main(args)` in this process and capture its streams."""
+
+    def run(*args):
+        code = main(list(args))
+        captured = capsys.readouterr()
+        return CliResult(code, captured.out, captured.err)
+
+    return run
+
+
+def run_cli_process(*args):
+    """Run `python -m a2a60.cli` with this checkout's sources importable."""
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "a2a60.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -25,7 +70,7 @@ def parse_csv(text):
 
 
 class TestFitCommand:
-    def test_ci_fit_matches_published(self):
+    def test_ci_fit_matches_published(self, run_cli):
         result = run_cli("fit", "--model", "ci", "--height", "all")
         assert result.returncode == 0, result.stderr
         row = parse_csv(result.stdout)[0]
@@ -35,36 +80,36 @@ class TestFitCommand:
         assert abs(float(row["intercept_db"]) - 68.08) <= 0.01
         assert abs(float(row["mse_db2"]) - 3.56) <= 0.6
 
-    def test_fi_fit_matches_published(self):
+    def test_fi_fit_matches_published(self, run_cli):
         result = run_cli("fit", "--model", "fi")
         row = parse_csv(result.stdout)[0]
         assert 66.5 <= float(row["intercept_db"]) <= 67.5
         assert 2.30 <= float(row["ple"]) <= 2.36
 
-    def test_height_filter(self):
+    def test_height_filter(self, run_cli):
         result = run_cli("fit", "--model", "ci", "--height", "12")
         row = parse_csv(result.stdout)[0]
         assert int(row["points"]) == 12
         assert abs(float(row["ple"]) - 2.25) <= 0.01
 
-    def test_empty_selection_fails_loudly(self):
+    def test_empty_selection_fails_loudly(self, run_cli):
         result = run_cli("fit", "--model", "ci", "--height", "99")
         assert result.returncode != 0
         assert "empty selection" in result.stderr
         assert result.stdout == ""
 
-    def test_json_matches_csv_to_ten_digits(self):
+    def test_json_matches_csv_to_ten_digits(self, run_cli):
         csv_row = parse_csv(run_cli("fit", "--model", "ci").stdout)[0]
         json_row = json.loads(run_cli("fit", "--model", "ci", "--format", "json").stdout)[0]
         for key in ("intercept_db", "ple", "sigma_db", "mse_db2"):
             assert math.isclose(float(csv_row[key]), json_row[key], rel_tol=1e-10)
 
-    def test_markdown_format(self):
+    def test_markdown_format(self, run_cli):
         result = run_cli("fit", "--model", "ci", "--format", "markdown-table")
         assert result.returncode == 0
         assert result.stdout.startswith("| model |")
 
-    def test_rank_filtered_input(self):
+    def test_rank_filtered_input(self, run_cli):
         from a2a60.dataset import fixture_path
 
         result = run_cli("fit", "--model", "fi", "--rank", "2",
@@ -73,13 +118,13 @@ class TestFitCommand:
         assert abs(float(row["intercept_db"]) - 69.68) <= 0.5
         assert abs(float(row["ple"]) - 2.28) <= 0.05
 
-    def test_rank_none_selects_best_beam_rows(self):
+    def test_rank_none_selects_best_beam_rows(self, run_cli):
         result = run_cli("fit", "--model", "ci", "--rank", "none")
         assert int(parse_csv(result.stdout)[0]["points"]) == 27
 
 
 class TestCompareCommand:
-    def test_reference_row_at_6m(self):
+    def test_reference_row_at_6m(self, run_cli):
         result = run_cli("compare", "--distances", "6:40:2")
         rows = parse_csv(result.stdout)
         assert float(rows[0]["distance_m"]) == 6.0
@@ -88,26 +133,26 @@ class TestCompareCommand:
         for column, value in expected.items():
             assert abs(float(rows[0][column]) - value) <= 0.02, column
 
-    def test_grid_endpoints_inclusive(self):
+    def test_grid_endpoints_inclusive(self, run_cli):
         rows = parse_csv(run_cli("compare", "--distances", "6:40:2").stdout)
         assert float(rows[-1]["distance_m"]) == 40.0
         assert len(rows) == 18
 
-    def test_fspl_at_40m(self):
+    def test_fspl_at_40m(self, run_cli):
         rows = parse_csv(run_cli("compare", "--distances", "40:40:1").stdout)
         assert float(rows[0]["fspl"]) == pytest.approx(100.12121869830563, abs=1e-9)
 
-    def test_bad_step_is_usage_error(self):
+    def test_bad_step_is_usage_error(self, run_cli):
         result = run_cli("compare", "--distances", "6:40:0")
         assert result.returncode != 0
         assert "STEP" in result.stderr
 
-    def test_malformed_range(self):
+    def test_malformed_range(self, run_cli):
         result = run_cli("compare", "--distances", "6..40")
         assert result.returncode != 0
         assert "--distances" in result.stderr
 
-    def test_json_matches_csv(self):
+    def test_json_matches_csv(self, run_cli):
         csv_rows = parse_csv(run_cli("compare", "--distances", "6:12:3").stdout)
         json_rows = json.loads(run_cli("compare", "--distances", "6:12:3",
                                        "--format", "json").stdout)
@@ -117,37 +162,37 @@ class TestCompareCommand:
 
 
 class TestSampleCommand:
-    def test_zero_samples(self):
+    def test_zero_samples(self, run_cli):
         result = run_cli("sample", "--distance", "20", "--n", "0", "--seed", "1")
         assert result.returncode == 0
         assert result.stdout == ""
 
-    def test_same_seed_identical(self):
+    def test_same_seed_identical(self, run_cli):
         args = ("sample", "--distance", "20", "--n", "50", "--seed", "77")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
-    def test_default_model_statistics(self):
+    def test_default_model_statistics(self, run_cli):
         result = run_cli("sample", "--distance", "20", "--n", "100000", "--seed", "20200925")
         values = [float(line) for line in result.stdout.splitlines()]
         assert len(values) == 100000
         std = statistics.pstdev(values)
         assert 3.49 <= std <= 3.63
 
-    def test_explicit_fi_model(self):
+    def test_explicit_fi_model(self, run_cli):
         result = run_cli("sample", "--model", "fi", "--distance", "6", "--n", "3",
                          "--seed", "5", "--sigma", "0")
         values = [float(line) for line in result.stdout.splitlines()]
         # sigma 0 collapses onto the mean: published intercept + slope at 6 m
         assert all(v == pytest.approx(67.03 + 23.3 * math.log10(6.0), abs=1e-9) for v in values)
 
-    def test_distance_below_reference_fails(self):
+    def test_distance_below_reference_fails(self, run_cli):
         result = run_cli("sample", "--distance", "0.5", "--n", "10", "--seed", "1")
         assert result.returncode != 0
         assert "reference distance" in result.stderr
 
 
 class TestReportCommand:
-    def test_table1_values_and_deltas(self):
+    def test_table1_values_and_deltas(self, run_cli):
         rows = parse_csv(run_cli("report", "--which", "table1").stdout)
         by_key = {(r["section"], r["param"]): r for r in rows}
         ci_ple = by_key[("ci", "ple")]
@@ -162,7 +207,7 @@ class TestReportCommand:
         # the honest rms dispersion is also reported, without a published analogue
         assert by_key[("ci", "sigma_db")]["published"] == ""
 
-    def test_table2_covers_heights(self):
+    def test_table2_covers_heights(self, run_cli):
         rows = parse_csv(run_cli("report", "--which", "table2").stdout)
         sections = {r["section"] for r in rows}
         assert sections == {"all", "h=6", "h=12", "h=15"}
@@ -170,7 +215,7 @@ class TestReportCommand:
         for value in ple.values():
             assert 2.19 <= value <= 2.32
 
-    def test_table3_flags_missing_ranks(self):
+    def test_table3_flags_missing_ranks(self, run_cli):
         rows = parse_csv(run_cli("report", "--which", "table3").stdout)
         sections = {r["section"] for r in rows}
         assert sections == {f"rank {i}" for i in range(1, 10)}
@@ -181,20 +226,19 @@ class TestReportCommand:
         assert float(by_key[("rank 1", "delta_deg")]["computed"]) == 0.0
         assert "beam-level" in by_key[("rank 9", "delta_deg")]["note"]
 
-    def test_table3_errors_when_rank_fixtures_missing(self, tmp_path, monkeypatch):
-        import os
+    def test_table3_errors_when_rank_fixtures_missing(self, run_cli, tmp_path, monkeypatch):
         import shutil
 
         from a2a60.dataset import DATA_DIR_ENV, MEASUREMENTS_FILE, fixture_path
 
         shutil.copy(str(fixture_path(MEASUREMENTS_FILE)), tmp_path / MEASUREMENTS_FILE)
-        env = dict(os.environ, **{DATA_DIR_ENV: str(tmp_path)})
-        result = run_cli("report", "--which", "table3", env=env)
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        result = run_cli("report", "--which", "table3")
         assert result.returncode != 0
         assert "missing rank fixtures" in result.stderr
         assert "fig6_rank2.csv" in result.stderr
 
-    def test_conclusion_prints_published_model(self):
+    def test_conclusion_prints_published_model(self, run_cli):
         result = run_cli("report", "--which", "conclusion")
         assert result.returncode == 0
         assert "68.08" in result.stdout
@@ -204,17 +248,79 @@ class TestReportCommand:
         slope = next(r for r in rows if r["param"] == "slope_db_per_decade")
         assert float(slope["computed"]) == pytest.approx(22.514, abs=1e-2)
 
-    def test_conclusion_markdown_shows_equation(self):
+    def test_conclusion_markdown_shows_equation(self, run_cli):
         result = run_cli("report", "--which", "conclusion", "--format", "markdown-table")
         assert "PL(d) = 68.08" in result.stdout
 
-    def test_json_report_parses(self):
+    def test_json_report_parses(self, run_cli):
         doc = json.loads(run_cli("report", "--which", "table1", "--format", "json").stdout)
         assert isinstance(doc, list)
         assert {"section", "param", "computed", "published", "abs_delta", "note"} == set(doc[0])
 
 
+class TestRawInputRejected:
+    @pytest.fixture
+    def raw_csv(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        lines = [",".join(RAW_COLUMNS)]
+        lines += [f"{d},12.0,0,0,{t},{80.0 + d + t}" for d in (6.0, 20.0, 40.0) for t in range(3)]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("fit", "--model", "ci"),
+            ("compare",),
+            *(("report", "--which", which) for which in ("table1", "table2", "table3", "conclusion")),
+        ],
+    )
+    def test_every_subcommand_rejects_raw_trials(self, run_cli, raw_csv, args):
+        result = run_cli(*args, "--input", str(raw_csv))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert f"{args[0]} expects the aggregated schema" in result.stderr
+        assert "aggregate raw trials first" in result.stderr
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (("fit", "--model", "ci", "--freq-ghz", "nan"), "freq_ghz"),
+            (("sample", "--distance", "nan", "--n", "2"), "distance_m"),
+            (("sample", "--distance", "20", "--n", "2", "--sigma", "nan"), "sigma_db"),
+        ],
+    )
+    def test_rejected_naming_the_field(self, run_cli, args, field):
+        result = run_cli(*args)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert f"{field} must be finite" in result.stderr
+
+
+class TestGoldenOutput:
+    @pytest.fixture(scope="class")
+    def goldens(self):
+        return json.loads(GOLDENS.read_text())
+
+    def test_commands_cover_every_golden(self, goldens):
+        assert set(GOLDEN_COMMANDS) == set(goldens)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+    def test_stdout_matches_golden(self, goldens, name):
+        # a plain StringIO takes sample-dense's 10^6 lines about a second faster than capsys
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(GOLDEN_COMMANDS[name]) == 0
+        stdout = buffer.getvalue().encode()
+        assert len(stdout) == goldens[name]["bytes"]
+        assert hashlib.sha256(stdout).hexdigest() == goldens[name]["sha256"]
+
+
 class TestDeterminism:
+    """Subprocess smoke tests of the `python -m a2a60.cli` entry point."""
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -226,6 +332,6 @@ class TestDeterminism:
         ],
     )
     def test_two_runs_byte_identical(self, args):
-        first, second = run_cli(*args), run_cli(*args)
+        first, second = run_cli_process(*args), run_cli_process(*args)
         assert first.returncode == 0
         assert first.stdout == second.stdout

@@ -134,9 +134,28 @@ class TestMeanPlDispatch:
         assert mean_pl(CiModel(60.48, 2.25), 6.0) == ci_mean_pl(CiModel(60.48, 2.25), 6.0)
         assert mean_pl(FiModel(67.03, 2.33), 6.0) == fi_mean_pl(FiModel(67.03, 2.33), 6.0)
 
+    def test_one_evaluator_for_both_laws(self):
+        assert ci_mean_pl is mean_pl
+        assert fi_mean_pl is mean_pl
+
+    @given(f=st.floats(0.01, 120.0), ple=st.floats(0.1, 6.0), d=st.floats(1.0, 1e4))
+    def test_ci_law_is_fi_law_with_friis_intercept(self, f, ple, d):
+        ci = CiModel(f, ple)
+        assert ci.intercept_db == friis_reference_pl(f)
+        assert mean_pl(ci, d) == mean_pl(FiModel(ci.intercept_db, ple), d)
+
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             mean_pl(object(), 6.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_distance(self, bad):
+        for model in (CiModel(60.48, 2.25), FiModel(67.03, 2.33)):
+            with pytest.raises(ValueError, match="distance_m must be finite"):
+                mean_pl(model, bad)
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 class TestModelValidation:
@@ -149,6 +168,31 @@ class TestModelValidation:
             CiModel(60.48, 2.25, -0.1)
         with pytest.raises(ValueError):
             FiModel(67.0, 2.3, -3.0)
+
+    @given(field=st.sampled_from(["freq_ghz", "ple", "sigma_db"]), bad=NON_FINITE)
+    def test_ci_rejects_non_finite_field_by_name(self, field, bad):
+        values = {"freq_ghz": 60.48, "ple": 2.25, "sigma_db": 3.56, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CiModel(**values)
+
+    @given(field=st.sampled_from(["intercept_db", "ple", "sigma_db"]), bad=NON_FINITE)
+    def test_fi_rejects_non_finite_field_by_name(self, field, bad):
+        values = {"intercept_db": 67.03, "ple": 2.33, "sigma_db": 3.52, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FiModel(**values)
+
+    @given(f=st.floats(), ple=st.floats(), sigma=st.floats())
+    def test_ci_accepts_exactly_the_finite_domain(self, f, ple, sigma):
+        if all(map(math.isfinite, (f, ple, sigma))) and f > 0 and sigma >= 0:
+            assert CiModel(f, ple, sigma).ple == ple
+        else:
+            with pytest.raises(ValueError):
+                CiModel(f, ple, sigma)
+
+    @given(bad=NON_FINITE)
+    def test_friis_reference_rejects_non_finite_frequency(self, bad):
+        with pytest.raises(ValueError, match="freq_ghz must be finite"):
+            friis_reference_pl(bad)
 
 
 class TestSamplePl:
