@@ -14,10 +14,24 @@ from dataclasses import dataclass
 
 from . import published
 from .fitting import FitPoint, fit_ci, fit_fi
-from .pathloss import CiModel, FiModel, mean_pl
+from .pathloss import CiModel, FiModel, _bounds, _check_fields, _check_finite, mean_pl
 
 BEAM_SPACING_DEG = published.BEAM_SPACING_DEG
 SCAN_WINDOW_BEAMS = published.SCAN_WINDOW_BEAMS
+
+_WINDOW_NOTE = f" (the {SCAN_WINDOW_BEAMS} x {SCAN_WINDOW_BEAMS} scan window)"
+# fields of every measurement record: where it was taken and the loss measured
+_POINT_BOUNDS = (
+    _bounds("distance_m", gt=0.0, unit="m"),
+    _bounds("height_m", gt=0.0, unit="m"),
+    _bounds("path_loss_db"),
+)
+# plus the beam pair, for raw trials and their trial averages
+_BEAM_PAIR_BOUNDS = _POINT_BOUNDS + (
+    _bounds("tx_beam_idx", ge=0, le=SCAN_WINDOW_BEAMS - 1, note=_WINDOW_NOTE),
+    _bounds("rx_beam_idx", ge=0, le=SCAN_WINDOW_BEAMS - 1, note=_WINDOW_NOTE),
+)
+_SCAN_BOUNDS = _BEAM_PAIR_BOUNDS + (_bounds("trial_count", ge=1, le=published.TRIALS_PER_SCAN),)
 
 
 @dataclass(frozen=True)
@@ -32,10 +46,7 @@ class BeamScanRecord:
     trial_count: int = 1
 
     def __post_init__(self):
-        if self.distance_m <= 0 or self.height_m <= 0:
-            raise ValueError("distance and height must be positive")
-        if not math.isfinite(self.path_loss_db):
-            raise ValueError(f"path loss must be finite, got {self.path_loss_db}")
+        _check_fields(self, _SCAN_BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -56,11 +67,8 @@ class BeamPairRanking:
 
     def pair_at(self, rank: int) -> tuple[int, int, float]:
         """1-based access: pair_at(1) is the best beam pair."""
-        if not 1 <= rank <= len(self.pairs):
-            raise ValueError(
-                f"rank {rank} out of range at (d={self.distance_m} m, h={self.height_m} m): "
-                f"only {len(self.pairs)} pairs ranked"
-            )
+        _check_finite("rank", rank, ge=1, le=len(self.pairs),
+                      note=f" (the pairs ranked at d={self.distance_m} m, h={self.height_m} m)")
         return self.pairs[rank - 1]
 
 
@@ -76,11 +84,6 @@ def rank_beam_pairs(records: list[BeamScanRecord]) -> BeamPairRanking:
             raise ValueError(
                 f"mixed measurement points in one scan: {key} and {(r.distance_m, r.height_m)}"
             )
-        if not (0 <= r.tx_beam_idx < SCAN_WINDOW_BEAMS and 0 <= r.rx_beam_idx < SCAN_WINDOW_BEAMS):
-            raise ValueError(
-                f"beam index ({r.tx_beam_idx}, {r.rx_beam_idx}) outside the "
-                f"[0, {SCAN_WINDOW_BEAMS}) scan window"
-            )
         pair = (r.tx_beam_idx, r.rx_beam_idx)
         if pair in seen:
             raise ValueError(f"duplicate beam pair {pair} at (d={key[0]} m, h={key[1]} m)")
@@ -92,8 +95,7 @@ def rank_beam_pairs(records: list[BeamScanRecord]) -> BeamPairRanking:
 
 def beam_angle(beam_idx: int, window_size: int = SCAN_WINDOW_BEAMS) -> float:
     """Beam direction in degrees relative to boresight, window centered on 0."""
-    if not 0 <= beam_idx < window_size:
-        raise ValueError(f"beam index {beam_idx} outside the [0, {window_size}) scan window")
+    _check_finite("beam_idx", beam_idx, ge=0, le=window_size - 1, note=" (the scan window)")
     return (beam_idx - (window_size - 1) / 2.0) * BEAM_SPACING_DEG
 
 
@@ -104,8 +106,7 @@ def displacement(rankings: list[BeamPairRanking], rank: int) -> float:
     not depend on where the scan window sits in the full codebook. Rank 1 is
     0 by definition.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _check_finite("rank", rank, ge=1)
     if rank == 1:
         return 0.0
     if not rankings:
@@ -139,16 +140,15 @@ class MisalignmentTable:
             raise ValueError("rank 1 must carry a close-in model")
         if self.delta_deg[0] != 0.0:
             raise ValueError("rank 1 displacement must be 0")
-        if any(d < 0 for d in self.delta_deg):
-            raise ValueError("displacements must be nonnegative")
+        for delta in self.delta_deg:
+            _check_finite("delta_deg", delta, ge=0.0, unit="deg")
 
     @property
     def max_rank(self) -> int:
         return len(self.models)
 
     def model_for(self, rank: int) -> CiModel | FiModel:
-        if not 1 <= rank <= self.max_rank:
-            raise ValueError(f"rank must be in 1..{self.max_rank}, got {rank}")
+        _check_finite("rank", rank, ge=1, le=self.max_rank)
         return self.models[rank - 1]
 
 
@@ -162,8 +162,7 @@ def fit_misalignment_table(rankings: list[BeamPairRanking], freq_ghz: float,
     """Build a misalignment table from beam-level rankings: a close-in fit of
     the best-pair losses, floating-intercept fits of ranks 2..max_rank, and
     displacement averages over all supplied rankings."""
-    if max_rank < 1:
-        raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+    _check_finite("max_rank", max_rank, ge=1)
     models: list[CiModel | FiModel] = []
     deltas = [0.0]
     best = [FitPoint(r.distance_m, r.pair_at(1)[2]) for r in rankings]

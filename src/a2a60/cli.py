@@ -30,11 +30,13 @@ from .dataset import (
     to_fit_points,
 )
 from .fitting import fit_ci, fit_fi
-from .pathloss import CiModel, FiModel, free_space_pl, mean_pl, sample_pl
+from .pathloss import CiModel, FiModel, _check_finite, free_space_pl, mean_pl, sample_pl
 from .tr38901 import SCENARIOS, pl_3gpp_los, scenario_defaults
 
 FORMATS = ("csv", "json", "markdown-table")
 REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "note")
+
+_SAMPLE_BLOCK = 1 << 10  # values formatted per stdout write by `sample`
 
 # dispersion note shown wherever a mean-square residual meets a published value
 _MSE_NOTE = "published dispersion values follow the mean-square (dB^2) convention"
@@ -116,12 +118,11 @@ def _parse_distances(spec: str) -> list[float]:
         raise ValueError(f"invalid --distances {spec!r}, expected START:STOP:STEP")
     try:
         start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"invalid --distances {spec!r}: fields must be numbers") from None
-    if step <= 0:
-        raise ValueError(f"invalid --distances {spec!r}: STEP must be positive")
-    if stop < start:
-        raise ValueError(f"invalid --distances {spec!r}: STOP must be >= START")
+        _check_finite("START", start)
+        _check_finite("STOP", stop, ge=start, note=" (START)")
+        _check_finite("STEP", step, gt=0.0)
+    except ValueError as exc:
+        raise ValueError(f"invalid --distances {spec!r}: {exc}") from None
     count = int((stop - start) / step + 1e-9)
     return [start + i * step for i in range(count + 1)]
 
@@ -154,8 +155,10 @@ def cmd_sample(args) -> None:
     else:
         model = FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
                         ple, sigma)
-    for value in sample_pl(model, args.distance, args.n, args.seed):
-        print(repr(float(value)))
+    values = sample_pl(model, args.distance, args.n, args.seed)
+    # one write per block of lines: the whole text at once would hold every line in memory
+    for start in range(0, values.size, _SAMPLE_BLOCK):
+        sys.stdout.write("\n".join(map(repr, values[start:start + _SAMPLE_BLOCK].tolist())) + "\n")
 
 
 def _row(section, param, computed, pub, note=""):

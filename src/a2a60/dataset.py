@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from . import published
-from .beams import BeamScanRecord
+from .beams import _BEAM_PAIR_BOUNDS, _POINT_BOUNDS, SCAN_WINDOW_BEAMS, BeamScanRecord
 from .fitting import FitPoint
+from .pathloss import _bounds, _check_fields, _check_finite
 
 DATA_DIR_ENV = "A2A_DATA_DIR"
 
@@ -37,6 +39,8 @@ CURVE_COLUMNS = ("curve", "distance_m", "path_loss_db")
 MEASUREMENTS_FILE = "fig2_measurements.csv"
 RANK_FILES = {2: "fig6_rank2.csv", 3: "fig6_rank3.csv", 9: "fig6_rank9.csv"}
 REFERENCE_CURVES_FILE = "fig5_reference_curves.csv"
+
+_RAW_BOUNDS = _BEAM_PAIR_BOUNDS + (_bounds("trial_idx", ge=0, le=published.TRIALS_PER_SCAN - 1),)
 
 
 class CsvFormatError(ValueError):
@@ -58,6 +62,9 @@ class RawTrialRecord:
     trial_idx: int
     path_loss_db: float
 
+    def __post_init__(self):
+        _check_fields(self, _RAW_BOUNDS)
+
 
 @dataclass(frozen=True)
 class AggregatedPoint:
@@ -69,113 +76,106 @@ class AggregatedPoint:
     path_loss_db: float
     rank: int | None = None
 
-
-def _parse_float(raw, row_num, col, positive=False):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise CsvFormatError(f"row {row_num}, column {col}: {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise CsvFormatError(f"row {row_num}, column {col}: value must be finite")
-    if positive and value <= 0:
-        raise CsvFormatError(f"row {row_num}, column {col}: value must be positive, got {raw}")
-    return value
+    def __post_init__(self):
+        _check_fields(self, _POINT_BOUNDS)
+        if self.rank is not None:
+            _check_finite("rank", self.rank, ge=1, le=SCAN_WINDOW_BEAMS ** 2)
 
 
-def _parse_int(raw, row_num, col, lo, hi):
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CsvFormatError(f"row {row_num}, column {col}: {raw!r} is not an integer") from None
-    if not lo <= value <= hi:
-        raise CsvFormatError(
-            f"row {row_num}, column {col}: {value} outside the valid range [{lo}, {hi}]"
-        )
-    return value
+def _curve_sample(curve: str, distance_m: float, path_loss_db: float):
+    _check_finite("distance_m", distance_m, gt=0.0, unit="m")
+    _check_finite("path_loss_db", path_loss_db)
+    return curve, distance_m, path_loss_db
 
 
-def _rows(source):
-    if hasattr(source, "read"):
-        yield from csv.reader(source)
-    else:
+# header -> (one text converter per column, constructor of a converted row)
+_MEASUREMENT_SCHEMAS = {
+    RAW_COLUMNS: ((float, float, int, int, int, float), RawTrialRecord),
+    AGGREGATED_COLUMNS: ((float, float, lambda text: int(text) if text.strip() else None, float),
+                         lambda d, h, rank, pl: AggregatedPoint(d, h, pl, rank)),
+}
+_CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _curve_sample)}
+
+
+def _read(source, schemas) -> list:
+    """Build one record per non-blank row of a CSV whose header is one of `schemas`.
+
+    `source` is a path or an open stream. Every conversion or range error
+    becomes a CsvFormatError naming the row.
+    """
+    if not hasattr(source, "read"):
         with open(source, newline="", encoding="utf-8") as handle:
-            yield from csv.reader(handle)
+            return _read(handle, schemas)
+    rows = csv.reader(source)
+    try:
+        header = tuple(next(rows, ()))
+        if not header:
+            raise CsvFormatError("missing header row")
+        if header not in schemas:
+            missing = min((set(columns) - set(header) for columns in schemas), key=len)
+            raise CsvFormatError(
+                f"unrecognized header {list(header)}; missing columns: {sorted(missing)}"
+            )
+        converters, build = schemas[header]
+        records = []
+        for row_num, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"row {row_num}: expected {len(header)} fields {list(header)}, got {len(row)}"
+                )
+            try:
+                records.append(build(*map(operator.call, converters, row)))
+            except ValueError as exc:
+                # a constructor error names its field; a converter error needs the column
+                reason = _unconvertible(header, converters, row) or exc
+                raise CsvFormatError(f"row {row_num}: {reason}") from None
+    except csv.Error as exc:  # e.g. a field over the csv module's size limit
+        raise CsvFormatError(f"row {rows.line_num}: {exc}") from None
+    return records
+
+
+def _unconvertible(header, converters, row) -> str:
+    """Name the first column whose text fails to convert; "" if every field converts."""
+    for column, convert, text in zip(header, converters, row):
+        try:
+            convert(text)
+        except ValueError as exc:
+            return f"column {column}: {exc}"
+    return ""
 
 
 def load_csv(source) -> list[RawTrialRecord] | list[AggregatedPoint]:
     """Load a measurement CSV (path or open stream), dispatching on header."""
-    reader = _rows(source)
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise CsvFormatError("empty file: missing header row") from None
-    if header == RAW_COLUMNS:
-        return _load_raw(reader)
-    if header == AGGREGATED_COLUMNS:
-        return _load_aggregated(reader)
-    missing_raw = set(RAW_COLUMNS) - set(header)
-    missing_agg = set(AGGREGATED_COLUMNS) - set(header)
-    missing = missing_agg if len(missing_agg) <= len(missing_raw) else missing_raw
-    raise CsvFormatError(
-        f"unrecognized header {list(header)}; missing columns: {sorted(missing)}"
-    )
-
-
-def _check_width(row, row_num, expected):
-    if len(row) != len(expected):
-        raise CsvFormatError(
-            f"row {row_num}: expected {len(expected)} fields {list(expected)}, got {len(row)}"
-        )
-
-
-def _load_raw(reader) -> list[RawTrialRecord]:
-    records = []
-    for row_num, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        _check_width(row, row_num, RAW_COLUMNS)
-        records.append(RawTrialRecord(
-            distance_m=_parse_float(row[0], row_num, "distance_m", positive=True),
-            height_m=_parse_float(row[1], row_num, "height_m", positive=True),
-            tx_beam_idx=_parse_int(row[2], row_num, "tx_beam_idx", 0, 10**6),
-            rx_beam_idx=_parse_int(row[3], row_num, "rx_beam_idx", 0, 10**6),
-            trial_idx=_parse_int(row[4], row_num, "trial_idx", 0,
-                                 published.TRIALS_PER_SCAN - 1),
-            path_loss_db=_parse_float(row[5], row_num, "path_loss_db"),
-        ))
-    return records
-
-
-def _load_aggregated(reader) -> list[AggregatedPoint]:
-    points = []
-    for row_num, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        _check_width(row, row_num, AGGREGATED_COLUMNS)
-        rank = None if row[2].strip() == "" else _parse_int(row[2], row_num, "rank", 1, 10**6)
-        points.append(AggregatedPoint(
-            distance_m=_parse_float(row[0], row_num, "distance_m", positive=True),
-            height_m=_parse_float(row[1], row_num, "height_m", positive=True),
-            path_loss_db=_parse_float(row[3], row_num, "path_loss_db"),
-            rank=rank,
-        ))
-    return points
+    return _read(source, _MEASUREMENT_SCHEMAS)
 
 
 def aggregate_trials(records: list[RawTrialRecord]) -> list[BeamScanRecord]:
     """Average trials per (distance, height, tx, rx) beam pair.
 
     Missing trials are tolerated; `trial_count` reports how many were
-    averaged. Exact summation keeps the result independent of row order.
+    averaged. A trial index repeated within one pair is an error. Exact
+    summation keeps the result independent of row order.
     """
-    groups: dict = {}
+    groups: dict = {}  # beam pair -> its path losses, one slot per trial index
     for r in records:
         key = (r.distance_m, r.height_m, r.tx_beam_idx, r.rx_beam_idx)
-        groups.setdefault(key, []).append(r.path_loss_db)
-    return [
-        BeamScanRecord(*key, path_loss_db=math.fsum(vals) / len(vals), trial_count=len(vals))
-        for key, vals in sorted(groups.items())
-    ]
+        trials = groups.get(key)
+        if trials is None:
+            trials = groups[key] = [None] * published.TRIALS_PER_SCAN
+        if trials[r.trial_idx] is not None:
+            raise ValueError(
+                f"duplicate trial {r.trial_idx} of beam pair ({r.tx_beam_idx}, {r.rx_beam_idx}) "
+                f"at (d={r.distance_m} m, h={r.height_m} m)"
+            )
+        trials[r.trial_idx] = r.path_loss_db
+    scans = []
+    for key, trials in sorted(groups.items()):
+        values = [v for v in trials if v is not None]
+        scans.append(BeamScanRecord(*key, path_loss_db=math.fsum(values) / len(values),
+                                    trial_count=len(values)))
+    return scans
 
 
 def to_fit_points(points: list[AggregatedPoint], height="all", rank="all") -> list[FitPoint]:
@@ -222,10 +222,7 @@ def fixture_path(name: str):
 
 
 def _open_fixture(name: str):
-    path = fixture_path(name)
-    if isinstance(path, Path):
-        return open(path, newline="", encoding="utf-8")
-    return path.open("r", newline="", encoding="utf-8")
+    return fixture_path(name).open("r", newline="", encoding="utf-8")
 
 
 def load_measurement_points(name: str = MEASUREMENTS_FILE) -> list[AggregatedPoint]:
@@ -250,16 +247,6 @@ def load_reference_curves(name: str = REFERENCE_CURVES_FILE) -> dict[str, list[t
     """Bundled reference curves as {curve: [(distance_m, path_loss_db), ...]}."""
     curves: dict[str, list[tuple[float, float]]] = {}
     with _open_fixture(name) as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader))
-        if header != CURVE_COLUMNS:
-            raise CsvFormatError(f"unrecognized header {list(header)}, expected {list(CURVE_COLUMNS)}")
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            _check_width(row, row_num, CURVE_COLUMNS)
-            curves.setdefault(row[0], []).append((
-                _parse_float(row[1], row_num, "distance_m", positive=True),
-                _parse_float(row[2], row_num, "path_loss_db"),
-            ))
+        for curve, distance_m, path_loss_db in _read(handle, _CURVE_SCHEMAS):
+            curves.setdefault(curve, []).append((distance_m, path_loss_db))
     return curves

@@ -8,12 +8,11 @@ ordinary least squares with a free intercept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pathloss import CiModel, FiModel, friis_reference_pl
+from .pathloss import REFERENCE_DISTANCE_M, CiModel, FiModel, _check_finite, friis_reference_pl
 
 
 class DegenerateFitError(ValueError):
@@ -28,10 +27,8 @@ class FitPoint:
     path_loss_db: float
 
     def __post_init__(self):
-        if self.distance_m < 1.0:
-            raise ValueError(f"fit distances must be >= 1 m, got {self.distance_m}")
-        if not math.isfinite(self.path_loss_db):
-            raise ValueError(f"path loss must be finite, got {self.path_loss_db}")
+        _check_finite("distance_m", self.distance_m, ge=REFERENCE_DISTANCE_M, unit="m")
+        _check_finite("path_loss_db", self.path_loss_db)
 
 
 @dataclass(frozen=True)

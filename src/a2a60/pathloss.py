@@ -18,17 +18,45 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 REFERENCE_DISTANCE_M = 1.0
 
 
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
+def _check_finite(name: str, value, *, gt=-math.inf, ge=-math.inf, le=math.inf,
+                  unit: str = "", note: str = "") -> None:
+    """The one range check of the package: raise a ValueError naming `name`
+    unless `value` is finite, above `gt`, and within [`ge`, `le`]. `unit` and
+    `note` only shape the message."""
+    # NaN fails every comparison; math.isfinite is avoided because it overflows on huge ints
+    if gt < value < math.inf and ge <= value <= le:
+        return
+    if not -math.inf < value < math.inf:
         raise ValueError(f"{name} must be finite, got {value}")
+    unit = f" {unit}" if unit else ""
+    bounds = " and ".join(f"{op} {bound:.15g}{unit}"
+                          for op, bound in ((">", gt), (">=", ge), ("<=", le))
+                          if math.isfinite(bound))
+    raise ValueError(f"{name} must be {bounds}{note}, got {value}{unit}")
+
+
+def _bounds(name: str, *, gt=-math.inf, ge=-math.inf, le=math.inf, unit: str = "",
+            note: str = "") -> tuple:
+    """One row of a `_check_fields` table: a field and its `_check_finite` arguments."""
+    return name, gt, ge, le, unit, note
+
+
+def _check_fields(record, table) -> None:
+    """`_check_finite` on each field of `record` that `table` (rows from
+    `_bounds`) names. Records are built once per CSV row, so a field in range
+    passes here without a call."""
+    inf = math.inf
+    for name, gt, ge, le, unit, note in table:
+        value = getattr(record, name)
+        if not (gt < value < inf and ge <= value <= le):
+            _check_finite(name, value, gt=gt, ge=ge, le=le, unit=unit, note=note)
 
 
 def _check_model(model) -> None:
     """Constructor check shared by both laws: finite fields, nonnegative sigma."""
     for field in fields(model):
         _check_finite(field.name, getattr(model, field.name))
-    if model.sigma_db < 0:
-        raise ValueError(f"shadowing sigma must be nonnegative, got {model.sigma_db} dB")
+    _check_finite("sigma_db", model.sigma_db, ge=0.0, unit="dB")
 
 
 @dataclass(frozen=True)
@@ -46,8 +74,7 @@ class CiModel:
 
     def __post_init__(self):
         _check_model(self)
-        if self.freq_ghz <= 0:
-            raise ValueError(f"carrier frequency must be positive, got {self.freq_ghz} GHz")
+        _check_finite("freq_ghz", self.freq_ghz, gt=0.0, unit="GHz")
 
     @property
     def intercept_db(self) -> float:
@@ -73,9 +100,7 @@ class FiModel:
 
 def friis_reference_pl(freq_ghz: float) -> float:
     """Free-space path loss at the 1 m reference distance, in dB."""
-    _check_finite("freq_ghz", freq_ghz)
-    if freq_ghz <= 0:
-        raise ValueError(f"carrier frequency must be positive, got {freq_ghz} GHz")
+    _check_finite("freq_ghz", freq_ghz, gt=0.0, unit="GHz")
     return 20.0 * math.log10(4.0 * math.pi * freq_ghz * 1e9 / SPEED_OF_LIGHT_M_S)
 
 
@@ -84,11 +109,8 @@ def mean_pl(model: CiModel | FiModel, distance_m: float) -> float:
     law: the intercept at 1 m plus 10*ple dB per decade of distance."""
     if not isinstance(model, (CiModel, FiModel)):
         raise TypeError(f"expected CiModel or FiModel, got {type(model).__name__}")
-    _check_finite("distance_m", distance_m)
-    if distance_m < REFERENCE_DISTANCE_M:
-        raise ValueError(
-            f"distance {distance_m} m is below the {REFERENCE_DISTANCE_M:g} m reference distance"
-        )
+    _check_finite("distance_m", distance_m, ge=REFERENCE_DISTANCE_M, unit="m",
+                  note=" (the reference distance)")
     return model.intercept_db + 10.0 * model.ple * math.log10(distance_m)
 
 
@@ -98,8 +120,7 @@ ci_mean_pl = fi_mean_pl = mean_pl
 
 def free_space_pl(freq_ghz: float, distance_m: float) -> float:
     """Friis free-space path loss in dB; valid for any positive distance."""
-    if distance_m <= 0:
-        raise ValueError(f"distance must be positive, got {distance_m} m")
+    _check_finite("distance_m", distance_m, gt=0.0, unit="m")
     return friis_reference_pl(freq_ghz) + 20.0 * math.log10(distance_m)
 
 
@@ -110,8 +131,7 @@ def sample_pl(model: CiModel | FiModel, distance_m: float, n: int, seed: int) ->
     by this call and seeded with `seed`, so identical arguments always return
     bit-identical output.
     """
-    if n < 0:
-        raise ValueError(f"sample count must be nonnegative, got {n}")
+    _check_finite("n", n, ge=0)
     mu = mean_pl(model, distance_m)
     rng = np.random.default_rng(seed)
     return mu + rng.normal(0.0, model.sigma_db, size=int(n))

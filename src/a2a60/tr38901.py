@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .pathloss import _check_finite
+
 # The standard's breakpoint formulas fix the propagation constant at 3e8 m/s.
 BREAKPOINT_C_M_S = 3.0e8
 DEFAULT_OXYGEN_ALPHA_DB_PER_KM = 15.0
@@ -58,10 +60,8 @@ class ScenarioParams:
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         for name in ("bs_height_m", "ut_height_m", "avg_building_height_m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.oxygen_alpha_db_per_km < 0:
-            raise ValueError("oxygen absorption coefficient must be nonnegative")
+            _check_finite(name, getattr(self, name), gt=0.0, unit="m")
+        _check_finite("oxygen_alpha_db_per_km", self.oxygen_alpha_db_per_km, ge=0.0)
 
 
 def scenario_defaults(scenario: str,
@@ -77,21 +77,18 @@ def scenario_defaults(scenario: str,
 
 def oxygen_loss(distance_m: float, alpha_db_per_km: float) -> float:
     """Distance-proportional atmospheric absorption, in dB."""
-    if distance_m < 0:
-        raise ValueError(f"distance must be nonnegative, got {distance_m} m")
-    if alpha_db_per_km < 0:
-        raise ValueError(f"absorption coefficient must be nonnegative, got {alpha_db_per_km}")
+    _check_finite("distance_m", distance_m, ge=0.0, unit="m")
+    _check_finite("alpha_db_per_km", alpha_db_per_km, ge=0.0)
     return alpha_db_per_km * distance_m / 1000.0
 
 
 def _pl_umi_uma(params, freq_ghz, d):
     const, slope, bp_coeff = _UMI_UMA_COEFFICIENTS[params.scenario]
+    for name in ("bs_height_m", "ut_height_m"):
+        _check_finite(name, getattr(params, name), gt=ENVIRONMENT_HEIGHT_M, unit="m",
+                      note=" (the environment height)")
     h_bs = params.bs_height_m - ENVIRONMENT_HEIGHT_M
     h_ut = params.ut_height_m - ENVIRONMENT_HEIGHT_M
-    if h_bs <= 0 or h_ut <= 0:
-        raise ValueError(
-            f"antenna heights must exceed the {ENVIRONMENT_HEIGHT_M:g} m environment height"
-        )
     d_bp = 4.0 * h_bs * h_ut * freq_ghz * 1e9 / BREAKPOINT_C_M_S
     if d <= d_bp:
         return const + slope * math.log10(d) + 20.0 * math.log10(freq_ghz)
@@ -124,14 +121,8 @@ _DISPATCH = {"umi": _pl_umi_uma, "uma": _pl_umi_uma, "rma": _pl_rma, "inoo": _pl
 
 def pl_3gpp_los(params: ScenarioParams, freq_ghz: float, distance_m: float) -> float:
     """LOS path loss for the scenario, plus the oxygen term, in dB."""
-    if freq_ghz <= 0:
-        raise ValueError(f"carrier frequency must be positive, got {freq_ghz} GHz")
-    if distance_m < 1.0:
-        raise ValueError(f"distance {distance_m} m is below the 1 m model floor")
-    limit = _MAX_DISTANCE_M[params.scenario]
-    if distance_m > limit:
-        raise ValueError(
-            f"distance {distance_m} m exceeds the {params.scenario} LOS range (max {limit:g} m)"
-        )
+    _check_finite("freq_ghz", freq_ghz, ge=0.5, le=100.0, unit="GHz")
+    _check_finite("distance_m", distance_m, ge=1.0, le=_MAX_DISTANCE_M[params.scenario],
+                  unit="m", note=f" (the {params.scenario} LOS range)")
     bare = _DISPATCH[params.scenario](params, freq_ghz, distance_m)
     return bare + oxygen_loss(distance_m, params.oxygen_alpha_db_per_km)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from a2a60 import (
     PUBLISHED_TABLE,
@@ -19,6 +20,11 @@ from a2a60 import (
 )
 from a2a60.beams import BEAM_SPACING_DEG
 from a2a60 import published
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+SCAN_FIELDS = ("distance_m", "height_m", "tx_beam_idx", "rx_beam_idx", "path_loss_db",
+               "trial_count")
 
 
 def record(d, h, tx, rx, pl):
@@ -117,6 +123,17 @@ class TestRankBeamPairs:
             BeamScanRecord(-6.0, 12.0, 0, 0, 90.0)
         with pytest.raises(ValueError):
             BeamScanRecord(6.0, 12.0, 0, 0, float("inf"))
+
+    @given(field=st.sampled_from(SCAN_FIELDS), bad=NON_FINITE)
+    def test_record_rejects_non_finite_field_by_name(self, field, bad):
+        values = dict(zip(SCAN_FIELDS, (6.0, 12.0, 0, 0, 90.0, 15)), **{field: bad})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            BeamScanRecord(**values)
+
+    @pytest.mark.parametrize("count", [0, 16])
+    def test_trial_count_outside_one_scan(self, count):
+        with pytest.raises(ValueError, match="trial_count"):
+            BeamScanRecord(6.0, 12.0, 0, 0, 90.0, trial_count=count)
 
 
 class TestDisplacement:

@@ -152,6 +152,14 @@ class TestCompareCommand:
         assert result.returncode != 0
         assert "--distances" in result.stderr
 
+    @pytest.mark.parametrize("spec, field", [("1:inf:1", "STOP"), ("nan:40:2", "START"),
+                                             ("6:40:nan", "STEP")])
+    def test_non_finite_grid_field(self, run_cli, spec, field):
+        result = run_cli("compare", "--distances", spec)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert f"invalid --distances {spec!r}: {field} must be finite" in result.stderr
+
     def test_json_matches_csv(self, run_cli):
         csv_rows = parse_csv(run_cli("compare", "--distances", "6:12:3").stdout)
         json_rows = json.loads(run_cli("compare", "--distances", "6:12:3",
@@ -297,6 +305,17 @@ class TestNonFiniteInputs:
         assert result.returncode == 1
         assert result.stdout == ""
         assert f"{field} must be finite" in result.stderr
+
+
+class TestMalformedCsv:
+    def test_over_long_field_is_a_row_error(self, run_cli, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("distance_m,height_m,rank,path_loss_db\n6,12,," + "9" * 200_000 + "\n")
+        result = run_cli("fit", "--model", "ci", "--input", str(big))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "row 2" in result.stderr
 
 
 class TestGoldenOutput:

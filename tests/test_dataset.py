@@ -1,8 +1,10 @@
 import io
+import math
 import random
 import shutil
 
 import pytest
+from hypothesis import given, strategies as st
 
 from a2a60 import (
     AggregatedPoint,
@@ -17,9 +19,16 @@ from a2a60 import (
     save_aggregated_csv,
     to_fit_points,
 )
-from a2a60.dataset import DATA_DIR_ENV, MEASUREMENTS_FILE, fixture_path
+from a2a60.dataset import (
+    DATA_DIR_ENV,
+    MEASUREMENTS_FILE,
+    RAW_COLUMNS,
+    REFERENCE_CURVES_FILE,
+    fixture_path,
+)
 
 RAW_HEADER = "distance_m,height_m,tx_beam_idx,rx_beam_idx,trial_idx,path_loss_db\n"
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def raw_csv(*rows):
@@ -62,6 +71,14 @@ class TestBundledFixtures:
         with pytest.raises(FileNotFoundError):
             load_measurement_points()
 
+    def test_reference_curve_rows_are_checked(self, tmp_path, monkeypatch):
+        (tmp_path / REFERENCE_CURVES_FILE).write_text(
+            "curve,distance_m,path_loss_db\numi,6,84.5\n\numi,nan,85.0\n"
+        )
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        with pytest.raises(CsvFormatError, match="row 4: distance_m must be finite"):
+            load_reference_curves()
+
 
 class TestLoadRawCsv:
     def test_well_formed_rows(self):
@@ -80,6 +97,16 @@ class TestLoadRawCsv:
     def test_trial_index_range(self):
         with pytest.raises(CsvFormatError, match=r"row 3.*trial_idx"):
             load_csv(raw_csv("6,12,0,0,0,90.0", "6,12,0,0,15,90.0"))
+
+    @pytest.mark.parametrize("row, column", [("6,12,20,0,0,90.0", "tx_beam_idx"),
+                                             ("6,12,0,20,0,90.0", "rx_beam_idx")])
+    def test_beam_index_outside_scan_window(self, row, column):
+        with pytest.raises(CsvFormatError, match=rf"row 3: {column} .*scan window"):
+            load_csv(raw_csv("6,12,19,19,0,90.0", row))
+
+    def test_over_long_field_names_row(self):
+        with pytest.raises(CsvFormatError, match="row 3: field larger than field limit"):
+            load_csv(raw_csv("6,12,0,0,0,90.0", "6,12,0,0,1," + "9" * 200_000))
 
     def test_non_numeric_field(self):
         with pytest.raises(CsvFormatError, match=r"row 2.*path_loss_db"):
@@ -101,6 +128,27 @@ class TestLoadRawCsv:
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "6,12,0,0,0,90.0\n")
         assert len(load_csv(path)) == 1
+
+
+class TestRecordValidation:
+    @given(field=st.sampled_from(RAW_COLUMNS), bad=NON_FINITE)
+    def test_raw_trial_rejects_non_finite_field_by_name(self, field, bad):
+        values = dict(zip(RAW_COLUMNS, (6.0, 12.0, 0, 0, 0, 90.0)), **{field: bad})
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RawTrialRecord(**values)
+
+    @given(field=st.sampled_from(["distance_m", "height_m", "path_loss_db", "rank"]),
+           bad=NON_FINITE)
+    def test_aggregated_point_rejects_non_finite_field_by_name(self, field, bad):
+        values = {"distance_m": 6.0, "height_m": 12.0, "path_loss_db": 90.0, "rank": 2,
+                  field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AggregatedPoint(**values)
+
+    @pytest.mark.parametrize("rank", [0, 401])
+    def test_rank_outside_scan_window_pairs(self, rank):
+        with pytest.raises(ValueError, match="rank must be >= 1 and <= 400"):
+            AggregatedPoint(6.0, 12.0, 90.0, rank=rank)
 
 
 class TestLoadAggregatedCsv:
@@ -163,6 +211,12 @@ class TestAggregateTrials:
         shuffled = records[:]
         rng.shuffle(shuffled)
         assert aggregate_trials(records) == aggregate_trials(shuffled)
+
+    def test_repeated_trial_rejected(self):
+        records = [RawTrialRecord(6.0, 12.0, 0, 1, t, 90.0 + t) for t in (0, 1, 1)]
+        with pytest.raises(ValueError, match=r"duplicate trial 1 of beam pair \(0, 1\) "
+                                             r"at \(d=6.0 m, h=12.0 m\)"):
+            aggregate_trials(records)
 
     def test_missing_trials_tolerated(self):
         records = [RawTrialRecord(6.0, 12.0, 0, 0, t, 90.0 + t) for t in range(7)]

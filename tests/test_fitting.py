@@ -18,6 +18,7 @@ from a2a60 import (
 )
 
 DISTANCES = (2.0, 4.0, 8.0, 16.0, 32.0)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def ci_points(freq_ghz, ple, distances=DISTANCES):
@@ -126,6 +127,12 @@ class TestDegenerateInputs:
             FitPoint(0.5, 80.0)
         with pytest.raises(ValueError):
             FitPoint(6.0, float("nan"))
+
+    @given(field=st.sampled_from(["distance_m", "path_loss_db"]), bad=NON_FINITE)
+    def test_fit_point_rejects_non_finite_field_by_name(self, field, bad):
+        values = {"distance_m": 6.0, "path_loss_db": 85.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FitPoint(**values)
 
 
 class TestFitProperties:

@@ -194,6 +194,12 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="freq_ghz must be finite"):
             friis_reference_pl(bad)
 
+    @given(field=st.sampled_from(["freq_ghz", "distance_m"]), bad=NON_FINITE)
+    def test_free_space_rejects_non_finite_argument_by_name(self, field, bad):
+        values = {"freq_ghz": 60.48, "distance_m": 20.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            free_space_pl(**values)
+
 
 class TestSamplePl:
     def test_zero_sigma_returns_the_mean(self):

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from a2a60 import (
     ScenarioParams,
@@ -14,6 +15,7 @@ from a2a60 import (
 )
 
 F = 60.48
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 # hand-evaluated pre-breakpoint values at 6 m with no oxygen term
 BARE_AT_6M = {
@@ -214,3 +216,32 @@ class TestValidation:
             ScenarioParams("umi", -10.0, 1.5)
         with pytest.raises(ValueError):
             ScenarioParams("umi", 10.0, 1.5, oxygen_alpha_db_per_km=-1.0)
+
+    @given(field=st.sampled_from(["bs_height_m", "ut_height_m", "avg_building_height_m",
+                                  "oxygen_alpha_db_per_km"]), bad=NON_FINITE)
+    def test_params_reject_non_finite_field_by_name(self, field, bad):
+        values = {"bs_height_m": 10.0, "ut_height_m": 1.5, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ScenarioParams("umi", **values)
+
+    @given(bad=NON_FINITE)
+    def test_defaults_reject_non_finite_oxygen(self, bad):
+        with pytest.raises(ValueError, match="oxygen_alpha_db_per_km must be finite"):
+            scenario_defaults("umi", bad)
+
+    @given(field=st.sampled_from(["freq_ghz", "distance_m"]), bad=NON_FINITE)
+    def test_pl_rejects_non_finite_argument_by_name(self, field, bad):
+        values = {"freq_ghz": F, "distance_m": 20.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            pl_3gpp_los(scenario_defaults("umi"), **values)
+
+    @given(field=st.sampled_from(["distance_m", "alpha_db_per_km"]), bad=NON_FINITE)
+    def test_oxygen_rejects_non_finite_argument_by_name(self, field, bad):
+        values = {"distance_m": 20.0, "alpha_db_per_km": 15.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            oxygen_loss(**values)
+
+    @pytest.mark.parametrize("freq_ghz", [0.4, 100.5, 300.0])
+    def test_rejects_carrier_outside_standard_range(self, freq_ghz):
+        with pytest.raises(ValueError, match=r"freq_ghz must be >= 0\.5 GHz and <= 100 GHz"):
+            pl_3gpp_los(scenario_defaults("umi"), freq_ghz, 20.0)
