@@ -92,15 +92,9 @@ def _read_points(args):
 
 
 def _load_points(args):
-    points = _read_points(args)
-    height = "all" if args.height == "all" else float(args.height)
-    if args.rank == "all":
-        rank = "all"
-    elif args.rank.lower() in ("none", "best", ""):
-        rank = None
-    else:
-        rank = int(args.rank)
-    return to_fit_points(points, height=height, rank=rank)
+    # to_fit_points converts and matches the "all", height and rank numbers itself
+    rank = None if args.rank.lower() in ("none", "best", "") else args.rank
+    return to_fit_points(_read_points(args), height=args.height, rank=rank)
 
 
 def cmd_fit(args) -> None:
@@ -121,6 +115,7 @@ def _parse_distances(spec: str) -> list[float]:
         _check_finite("START", start)
         _check_finite("STOP", stop, ge=start, note=" (START)")
         _check_finite("STEP", step, gt=0.0)
+        _check_finite("(STOP - START) / STEP", (stop - start) / step)
     except ValueError as exc:
         raise ValueError(f"invalid --distances {spec!r}: {exc}") from None
     count = int((stop - start) / step + 1e-9)

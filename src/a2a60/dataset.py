@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -64,6 +63,8 @@ class RawTrialRecord:
 
     def __post_init__(self):
         _check_fields(self, _RAW_BOUNDS)
+        if self.trial_idx % 1:  # aggregate_trials files each trial under its index
+            raise ValueError(f"trial_idx must be a whole number, got {self.trial_idx}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _read(source, schemas) -> list:
                     f"row {row_num}: expected {len(header)} fields {list(header)}, got {len(row)}"
                 )
             try:
-                records.append(build(*map(operator.call, converters, row)))
+                records.append(build(*[convert(text) for convert, text in zip(converters, row)]))
             except ValueError as exc:
                 # a constructor error names its field; a converter error needs the column
                 reason = _unconvertible(header, converters, row) or exc
@@ -164,12 +165,13 @@ def aggregate_trials(records: list[RawTrialRecord]) -> list[BeamScanRecord]:
         trials = groups.get(key)
         if trials is None:
             trials = groups[key] = [None] * published.TRIALS_PER_SCAN
-        if trials[r.trial_idx] is not None:
+        slot = int(r.trial_idx)
+        if trials[slot] is not None:
             raise ValueError(
                 f"duplicate trial {r.trial_idx} of beam pair ({r.tx_beam_idx}, {r.rx_beam_idx}) "
                 f"at (d={r.distance_m} m, h={r.height_m} m)"
             )
-        trials[r.trial_idx] = r.path_loss_db
+        trials[slot] = r.path_loss_db
     scans = []
     for key, trials in sorted(groups.items()):
         values = [v for v in trials if v is not None]

@@ -77,18 +77,20 @@ def scenario_defaults(scenario: str,
 
 def oxygen_loss(distance_m: float, alpha_db_per_km: float) -> float:
     """Distance-proportional atmospheric absorption, in dB."""
-    _check_finite("distance_m", distance_m, ge=0.0, unit="m")
-    _check_finite("alpha_db_per_km", alpha_db_per_km, ge=0.0)
+    if not (0.0 <= distance_m < math.inf and 0.0 <= alpha_db_per_km < math.inf):
+        _check_finite("distance_m", distance_m, ge=0.0, unit="m")
+        _check_finite("alpha_db_per_km", alpha_db_per_km, ge=0.0)
     return alpha_db_per_km * distance_m / 1000.0
 
 
 def _pl_umi_uma(params, freq_ghz, d):
     const, slope, bp_coeff = _UMI_UMA_COEFFICIENTS[params.scenario]
-    for name in ("bs_height_m", "ut_height_m"):
-        _check_finite(name, getattr(params, name), gt=ENVIRONMENT_HEIGHT_M, unit="m",
-                      note=" (the environment height)")
     h_bs = params.bs_height_m - ENVIRONMENT_HEIGHT_M
     h_ut = params.ut_height_m - ENVIRONMENT_HEIGHT_M
+    if not (h_bs > 0.0 and h_ut > 0.0):
+        for name in ("bs_height_m", "ut_height_m"):
+            _check_finite(name, getattr(params, name), gt=ENVIRONMENT_HEIGHT_M, unit="m",
+                          note=" (the environment height)")
     d_bp = 4.0 * h_bs * h_ut * freq_ghz * 1e9 / BREAKPOINT_C_M_S
     if d <= d_bp:
         return const + slope * math.log10(d) + 20.0 * math.log10(freq_ghz)
@@ -121,8 +123,11 @@ _DISPATCH = {"umi": _pl_umi_uma, "uma": _pl_umi_uma, "rma": _pl_rma, "inoo": _pl
 
 def pl_3gpp_los(params: ScenarioParams, freq_ghz: float, distance_m: float) -> float:
     """LOS path loss for the scenario, plus the oxygen term, in dB."""
-    _check_finite("freq_ghz", freq_ghz, ge=0.5, le=100.0, unit="GHz")
-    _check_finite("distance_m", distance_m, ge=1.0, le=_MAX_DISTANCE_M[params.scenario],
-                  unit="m", note=f" (the {params.scenario} LOS range)")
+    limit = _MAX_DISTANCE_M[params.scenario]
+    # called once per grid point: values in range pass without a call (NaN fails both)
+    if not (0.5 <= freq_ghz <= 100.0 and 1.0 <= distance_m <= limit):
+        _check_finite("freq_ghz", freq_ghz, ge=0.5, le=100.0, unit="GHz")
+        _check_finite("distance_m", distance_m, ge=1.0, le=limit, unit="m",
+                      note=f" (the {params.scenario} LOS range)")
     bare = _DISPATCH[params.scenario](params, freq_ghz, distance_m)
     return bare + oxygen_loss(distance_m, params.oxygen_alpha_db_per_km)

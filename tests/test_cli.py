@@ -153,7 +153,8 @@ class TestCompareCommand:
         assert "--distances" in result.stderr
 
     @pytest.mark.parametrize("spec, field", [("1:inf:1", "STOP"), ("nan:40:2", "START"),
-                                             ("6:40:nan", "STEP")])
+                                             ("6:40:nan", "STEP"),
+                                             ("1:1e300:1e-300", "(STOP - START) / STEP")])
     def test_non_finite_grid_field(self, run_cli, spec, field):
         result = run_cli("compare", "--distances", spec)
         assert result.returncode == 1

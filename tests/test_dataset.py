@@ -3,6 +3,7 @@ import math
 import random
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -217,6 +218,17 @@ class TestAggregateTrials:
         with pytest.raises(ValueError, match=r"duplicate trial 1 of beam pair \(0, 1\) "
                                              r"at \(d=6.0 m, h=12.0 m\)"):
             aggregate_trials(records)
+
+    def test_float_trial_index(self):
+        records = [RawTrialRecord(6.0, 12.0, 0, 0, t, 90.0 + i)
+                   for i, t in enumerate((0, 1.0, np.float64(2)))]
+        (scan,) = aggregate_trials(records)
+        assert scan.trial_count == 3
+        assert scan.path_loss_db == 91.0
+        with pytest.raises(ValueError, match="duplicate trial 1"):
+            aggregate_trials(records + [RawTrialRecord(6.0, 12.0, 0, 0, 1, 95.0)])
+        with pytest.raises(ValueError, match="trial_idx must be a whole number, got 1.5"):
+            RawTrialRecord(6.0, 12.0, 0, 0, 1.5, 95.0)
 
     def test_missing_trials_tolerated(self):
         records = [RawTrialRecord(6.0, 12.0, 0, 0, t, 90.0 + t) for t in range(7)]
