@@ -21,7 +21,6 @@ from .dataset import (
     AggregatedPoint,
     CsvFormatError,
     EmptySelectionError,
-    RawTrialRecord,
     aggregate_trials,
     load_csv,
     load_measurement_points,
@@ -58,7 +57,6 @@ __all__ = [
     "FitReport",
     "MisalignmentTable",
     "PUBLISHED_TABLE",
-    "RawTrialRecord",
     "ScenarioParams",
     "aggregate_trials",
     "beam_angle",

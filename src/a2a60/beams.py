@@ -14,24 +14,31 @@ from dataclasses import dataclass
 
 from . import published
 from .fitting import FitPoint, fit_ci, fit_fi
-from .pathloss import CiModel, FiModel, _bounds, _check_fields, _check_finite, mean_pl
+from .pathloss import CiModel, FiModel, _check_finite, mean_pl
 
 BEAM_SPACING_DEG = published.BEAM_SPACING_DEG
 SCAN_WINDOW_BEAMS = published.SCAN_WINDOW_BEAMS
 
 _WINDOW_NOTE = f" (the {SCAN_WINDOW_BEAMS} x {SCAN_WINDOW_BEAMS} scan window)"
-# fields of every measurement record: where it was taken and the loss measured
-_POINT_BOUNDS = (
-    _bounds("distance_m", gt=0.0, unit="m"),
-    _bounds("height_m", gt=0.0, unit="m"),
-    _bounds("path_loss_db"),
-)
-# plus the beam pair, for raw trials and their trial averages
-_BEAM_PAIR_BOUNDS = _POINT_BOUNDS + (
-    _bounds("tx_beam_idx", ge=0, le=SCAN_WINDOW_BEAMS - 1, note=_WINDOW_NOTE),
-    _bounds("rx_beam_idx", ge=0, le=SCAN_WINDOW_BEAMS - 1, note=_WINDOW_NOTE),
-)
-_SCAN_BOUNDS = _BEAM_PAIR_BOUNDS + (_bounds("trial_count", ge=1, le=published.TRIALS_PER_SCAN),)
+# the valid range of every measurement field, as `_check_finite` arguments
+_FIELD_RANGES = {
+    "distance_m": dict(gt=0.0, unit="m"),
+    "height_m": dict(gt=0.0, unit="m"),
+    "path_loss_db": {},
+    "tx_beam_idx": dict(ge=0, le=SCAN_WINDOW_BEAMS - 1, note=_WINDOW_NOTE),
+    "rx_beam_idx": dict(ge=0, le=SCAN_WINDOW_BEAMS - 1, note=_WINDOW_NOTE),
+    "trial_idx": dict(ge=0, le=published.TRIALS_PER_SCAN - 1),
+    "trial_count": dict(ge=1, le=published.TRIALS_PER_SCAN),
+    "rank": dict(ge=1, le=SCAN_WINDOW_BEAMS ** 2),
+}
+
+
+def _check_fields(items) -> None:
+    """Check each (field, value) of a measurement against the field's range;
+    None (the rank of a best-pair point) has none."""
+    for name, value in items:
+        if value is not None:
+            _check_finite(name, value, **_FIELD_RANGES[name])
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,7 @@ class BeamScanRecord:
     trial_count: int = 1
 
     def __post_init__(self):
-        _check_fields(self, _SCAN_BOUNDS)
+        _check_fields(vars(self).items())
 
 
 @dataclass(frozen=True)

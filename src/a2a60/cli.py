@@ -23,7 +23,6 @@ import sys
 from . import published
 from .dataset import (
     RANK_FILES,
-    RawTrialRecord,
     load_csv,
     load_measurement_points,
     load_rank_points,
@@ -83,7 +82,7 @@ def _read_points(args):
     if not args.input:
         return load_measurement_points()
     points = load_csv(args.input)
-    if points and isinstance(points[0], RawTrialRecord):
+    if not isinstance(points, list):  # raw trials load as a numpy table
         raise ValueError(
             f"{args.command} expects the aggregated schema "
             "(distance_m,height_m,rank,path_loss_db); aggregate raw trials first"
@@ -106,7 +105,8 @@ def cmd_fit(args) -> None:
     _emit(args.format, columns, rows)
 
 
-def _parse_distances(spec: str) -> list[float]:
+def _parse_distances(spec: str) -> tuple[float, float, int]:
+    """START, STEP and the index of the last grid point of START:STOP:STEP."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"invalid --distances {spec!r}, expected START:STOP:STEP")
@@ -118,27 +118,24 @@ def _parse_distances(spec: str) -> list[float]:
         _check_finite("(STOP - START) / STEP", (stop - start) / step)
     except ValueError as exc:
         raise ValueError(f"invalid --distances {spec!r}: {exc}") from None
-    count = int((stop - start) / step + 1e-9)
-    return [start + i * step for i in range(count + 1)]
+    return start, step, int((stop - start) / step + 1e-9)
 
 
 def cmd_compare(args) -> None:
-    distances = _parse_distances(args.distances)
+    start, step, last = _parse_distances(args.distances)
     ci = fit_ci(to_fit_points(_read_points(args)), args.freq_ghz).model
-    params = {name: scenario_defaults(name) for name in SCENARIOS}
-    columns = ("distance_m", "ci_fit", "umi", "uma", "rma", "inoo", "fspl")
-    rows = []
-    for d in distances:
-        rows.append((
-            d,
-            mean_pl(ci, d),
-            pl_3gpp_los(params["umi"], args.freq_ghz, d),
-            pl_3gpp_los(params["uma"], args.freq_ghz, d),
-            pl_3gpp_los(params["rma"], args.freq_ghz, d),
-            pl_3gpp_los(params["inoo"], args.freq_ghz, d),
-            free_space_pl(args.freq_ghz, d),
-        ))
-    _emit(args.format, columns, rows)
+    umi, uma, rma, inoo = (scenario_defaults(name) for name in SCENARIOS)
+
+    def row(d):
+        return (d, mean_pl(ci, d), pl_3gpp_los(umi, args.freq_ghz, d),
+                pl_3gpp_los(uma, args.freq_ghz, d), pl_3gpp_los(rma, args.freq_ghz, d),
+                pl_3gpp_los(inoo, args.freq_ghz, d), free_space_pl(args.freq_ghz, d))
+
+    # each column's valid distances form an interval: if the grid's two ends
+    # pass, every point does, so an out-of-range grid is never built
+    row(start), row(start + last * step)
+    _emit(args.format, ("distance_m", "ci_fit", *SCENARIOS, "fspl"),
+          [row(start + i * step) for i in range(last + 1)])
 
 
 def cmd_sample(args) -> None:

@@ -1,10 +1,12 @@
 """Measurement ingestion and the bundled fixture datasets.
 
-Two canonical CSV schemas. Raw sounder trials:
+Two canonical CSV schemas. Raw sounder trials, which load as one numpy
+structured array (a field per column, each column range-checked once):
 
     distance_m,height_m,tx_beam_idx,rx_beam_idx,trial_idx,path_loss_db
 
-and aggregated per-point path loss (rank empty for best-beam data):
+and aggregated per-point path loss (rank empty for best-beam data), which
+loads as `AggregatedPoint` records:
 
     distance_m,height_m,rank,path_loss_db
 
@@ -17,16 +19,15 @@ environment variable to load fixtures from another directory instead.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import published
-from .beams import _BEAM_PAIR_BOUNDS, _POINT_BOUNDS, SCAN_WINDOW_BEAMS, BeamScanRecord
+import numpy as np
+
+from .beams import BeamScanRecord, _check_fields
 from .fitting import FitPoint
-from .pathloss import _bounds, _check_fields, _check_finite
 
 DATA_DIR_ENV = "A2A_DATA_DIR"
 
@@ -38,8 +39,7 @@ CURVE_COLUMNS = ("curve", "distance_m", "path_loss_db")
 MEASUREMENTS_FILE = "fig2_measurements.csv"
 RANK_FILES = {2: "fig6_rank2.csv", 3: "fig6_rank3.csv", 9: "fig6_rank9.csv"}
 REFERENCE_CURVES_FILE = "fig5_reference_curves.csv"
-
-_RAW_BOUNDS = _BEAM_PAIR_BOUNDS + (_bounds("trial_idx", ge=0, le=published.TRIALS_PER_SCAN - 1),)
+_RAW_DTYPE = np.dtype([(name, "i8" if name.endswith("_idx") else "f8") for name in RAW_COLUMNS])
 
 
 class CsvFormatError(ValueError):
@@ -48,23 +48,6 @@ class CsvFormatError(ValueError):
 
 class EmptySelectionError(ValueError):
     """A height/rank filter matched no points."""
-
-
-@dataclass(frozen=True)
-class RawTrialRecord:
-    """One sounder trial for one beam pair at one measurement point."""
-
-    distance_m: float
-    height_m: float
-    tx_beam_idx: int
-    rx_beam_idx: int
-    trial_idx: int
-    path_loss_db: float
-
-    def __post_init__(self):
-        _check_fields(self, _RAW_BOUNDS)
-        if self.trial_idx % 1:  # aggregate_trials files each trial under its index
-            raise ValueError(f"trial_idx must be a whole number, got {self.trial_idx}")
 
 
 @dataclass(frozen=True)
@@ -78,36 +61,67 @@ class AggregatedPoint:
     rank: int | None = None
 
     def __post_init__(self):
-        _check_fields(self, _POINT_BOUNDS)
-        if self.rank is not None:
-            _check_finite("rank", self.rank, ge=1, le=SCAN_WINDOW_BEAMS ** 2)
+        _check_fields(vars(self).items())
 
 
-def _curve_sample(curve: str, distance_m: float, path_loss_db: float):
-    _check_finite("distance_m", distance_m, gt=0.0, unit="m")
-    _check_finite("path_loss_db", path_loss_db)
-    return curve, distance_m, path_loss_db
+def _curves(rows, _) -> dict[str, list[tuple[float, float]]]:
+    """Reference-curve rows as {curve: [(distance_m, path_loss_db), ...]}."""
+    curves: dict[str, list[tuple[float, float]]] = {}
+    for curve, distance_m, path_loss_db in rows:
+        _check_fields((("distance_m", distance_m), ("path_loss_db", path_loss_db)))
+        curves.setdefault(curve, []).append((distance_m, path_loss_db))
+    return curves
 
 
-# header -> (one text converter per column, constructor of a converted row)
+def _raw_table(rows, blank) -> np.ndarray:
+    """The raw trials as one structured array. Each field's valid values form
+    an interval, so a column passes if its extremes (NaN among them) do; if
+    one fails, the first row out of range is found and cited."""
+    table = np.fromiter(rows, _RAW_DTYPE)
+    try:
+        _check_fields((name, extreme(table[name]).item()) for name in RAW_COLUMNS
+                      for extreme in (np.min, np.max) if len(table))
+    except ValueError:
+        for index, values in enumerate(row.tolist() for row in table):
+            try:
+                _check_fields(zip(RAW_COLUMNS, values))
+            except ValueError as exc:
+                row_num = index + 2
+                for skipped in blank:
+                    row_num += skipped <= row_num
+                raise CsvFormatError(f"row {row_num}: {exc}") from None
+    return table
+
+
+# header -> (one text converter per column, build(converted rows, numbers of the blank rows))
 _MEASUREMENT_SCHEMAS = {
-    RAW_COLUMNS: ((float, float, int, int, int, float), RawTrialRecord),
+    RAW_COLUMNS: ((float, float, int, int, int, float), _raw_table),
     AGGREGATED_COLUMNS: ((float, float, lambda text: int(text) if text.strip() else None, float),
-                         lambda d, h, rank, pl: AggregatedPoint(d, h, pl, rank)),
+                         lambda rows, _: [AggregatedPoint(d, h, pl, rank)
+                                          for d, h, rank, pl in rows]),
 }
-_CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _curve_sample)}
+_CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _curves)}
 
 
-def _read(source, schemas) -> list:
-    """Build one record per non-blank row of a CSV whose header is one of `schemas`.
-
-    `source` is a path or an open stream. Every conversion or range error
-    becomes a CsvFormatError naming the row.
+def _read(source, schemas):
+    """Build the result of a CSV whose header is one of `schemas` from its
+    non-blank rows, converted as they stream in. `source` is a path or an open
+    stream. Every conversion or range error becomes a CsvFormatError naming the row.
     """
     if not hasattr(source, "read"):
         with open(source, newline="", encoding="utf-8") as handle:
             return _read(handle, schemas)
     rows = csv.reader(source)
+    row_num, row, blank = 1, [], []  # the row being converted; the blank rows skipped
+
+    def converted():
+        nonlocal row_num, row
+        for row_num, row in enumerate(rows, start=2):
+            if row:
+                yield tuple([convert(text) for convert, text in zip(converters, row, strict=True)])
+            else:
+                blank.append(row_num)
+
     try:
         header = tuple(next(rows, ()))
         if not header:
@@ -118,66 +132,60 @@ def _read(source, schemas) -> list:
                 f"unrecognized header {list(header)}; missing columns: {sorted(missing)}"
             )
         converters, build = schemas[header]
-        records = []
-        for row_num, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"row {row_num}: expected {len(header)} fields {list(header)}, got {len(row)}"
-                )
-            try:
-                records.append(build(*[convert(text) for convert, text in zip(converters, row)]))
-            except ValueError as exc:
-                # a constructor error names its field; a converter error needs the column
-                reason = _unconvertible(header, converters, row) or exc
-                raise CsvFormatError(f"row {row_num}: {reason}") from None
+        return build(converted(), blank)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise CsvFormatError(f"row {rows.line_num}: {exc}") from None
-    return records
+    except CsvFormatError:
+        raise
+    except (ValueError, OverflowError) as exc:  # a record's own check names its field;
+        # a converter's error, or a raw index past numpy's 64 bits, needs the column
+        raise CsvFormatError(f"row {row_num}: {_unconvertible(header, converters, row) or exc}"
+                             ) from None
 
 
 def _unconvertible(header, converters, row) -> str:
-    """Name the first column whose text fails to convert; "" if every field converts."""
+    """Why `row` fails to convert: its width, or its first column that does not
+    convert or, as a raw index, overflows numpy's 64 bits; "" if it converts."""
+    if len(row) != len(header):
+        return f"expected {len(header)} fields {list(header)}, got {len(row)}"
     for column, convert, text in zip(header, converters, row):
         try:
-            convert(text)
+            value = convert(text)
         except ValueError as exc:
             return f"column {column}: {exc}"
+        if column.endswith("_idx") and not -(1 << 63) <= value < 1 << 63:
+            return f"column {column}: {text} exceeds 64 bits"
     return ""
 
 
-def load_csv(source) -> list[RawTrialRecord] | list[AggregatedPoint]:
+def load_csv(source) -> np.ndarray | list[AggregatedPoint]:
     """Load a measurement CSV (path or open stream), dispatching on header."""
     return _read(source, _MEASUREMENT_SCHEMAS)
 
 
-def aggregate_trials(records: list[RawTrialRecord]) -> list[BeamScanRecord]:
-    """Average trials per (distance, height, tx, rx) beam pair.
+def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
+    """Average the raw-trial table from `load_csv` per (distance, height, tx,
+    rx) beam pair, in that order.
 
     Missing trials are tolerated; `trial_count` reports how many were
-    averaged. A trial index repeated within one pair is an error. Exact
-    summation keeps the result independent of row order.
+    averaged. A trial index repeated within one pair is an error. Each pair's
+    trials are summed in trial order, so the result does not depend on row
+    order.
     """
-    groups: dict = {}  # beam pair -> its path losses, one slot per trial index
-    for r in records:
-        key = (r.distance_m, r.height_m, r.tx_beam_idx, r.rx_beam_idx)
-        trials = groups.get(key)
-        if trials is None:
-            trials = groups[key] = [None] * published.TRIALS_PER_SCAN
-        slot = int(r.trial_idx)
-        if trials[slot] is not None:
-            raise ValueError(
-                f"duplicate trial {r.trial_idx} of beam pair ({r.tx_beam_idx}, {r.rx_beam_idx}) "
-                f"at (d={r.distance_m} m, h={r.height_m} m)"
-            )
-        trials[slot] = r.path_loss_db
-    scans = []
-    for key, trials in sorted(groups.items()):
-        values = [v for v in trials if v is not None]
-        scans.append(BeamScanRecord(*key, path_loss_db=math.fsum(values) / len(values),
-                                    trial_count=len(values)))
-    return scans
+    keys = [trials[name] for name in RAW_COLUMNS[:5]]  # point, beam pair, trial
+    order = np.lexsort(keys[::-1])
+    keys = [key[order] for key in keys]
+    first = np.ones(len(order), dtype=bool)  # the row opens a beam pair
+    first[1:] = np.any([key[1:] != key[:-1] for key in keys[:4]], axis=0)
+    repeated = np.flatnonzero(~first[1:] & (keys[4][1:] == keys[4][:-1]))
+    if repeated.size:
+        d, h, tx, rx, trial = (key[repeated[0] + 1].item() for key in keys)
+        raise ValueError(f"duplicate trial {trial} of beam pair ({tx}, {rx}) at (d={d} m, h={h} m)")
+    group = np.cumsum(first) - 1
+    counts = np.bincount(group)
+    means = np.bincount(group, weights=trials["path_loss_db"][order]) / counts
+    return [BeamScanRecord(*fields) for fields in zip(
+        *(key[first].tolist() for key in keys[:4]), means.tolist(), counts.tolist())]
 
 
 def to_fit_points(points: list[AggregatedPoint], height="all", rank="all") -> list[FitPoint]:
@@ -247,8 +255,5 @@ def load_rank_points(rank: int) -> list[AggregatedPoint]:
 
 def load_reference_curves(name: str = REFERENCE_CURVES_FILE) -> dict[str, list[tuple[float, float]]]:
     """Bundled reference curves as {curve: [(distance_m, path_loss_db), ...]}."""
-    curves: dict[str, list[tuple[float, float]]] = {}
     with _open_fixture(name) as handle:
-        for curve, distance_m, path_loss_db in _read(handle, _CURVE_SCHEMAS):
-            curves.setdefault(curve, []).append((distance_m, path_loss_db))
-    return curves
+        return _read(handle, _CURVE_SCHEMAS)

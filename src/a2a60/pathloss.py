@@ -35,23 +35,6 @@ def _check_finite(name: str, value, *, gt=-math.inf, ge=-math.inf, le=math.inf,
     raise ValueError(f"{name} must be {bounds}{note}, got {value}{unit}")
 
 
-def _bounds(name: str, *, gt=-math.inf, ge=-math.inf, le=math.inf, unit: str = "",
-            note: str = "") -> tuple:
-    """One row of a `_check_fields` table: a field and its `_check_finite` arguments."""
-    return name, gt, ge, le, unit, note
-
-
-def _check_fields(record, table) -> None:
-    """`_check_finite` on each field of `record` that `table` (rows from
-    `_bounds`) names. Records are built once per CSV row, so a field in range
-    passes here without a call."""
-    inf = math.inf
-    for name, gt, ge, le, unit, note in table:
-        value = getattr(record, name)
-        if not (gt < value < inf and ge <= value <= le):
-            _check_finite(name, value, gt=gt, ge=ge, le=le, unit=unit, note=note)
-
-
 def _check_model(model) -> None:
     """Constructor check shared by both laws: finite fields, nonnegative sigma."""
     for field in fields(model):
@@ -111,7 +94,10 @@ def mean_pl(model: CiModel | FiModel, distance_m: float) -> float:
         raise TypeError(f"expected CiModel or FiModel, got {type(model).__name__}")
     _check_finite("distance_m", distance_m, ge=REFERENCE_DISTANCE_M, unit="m",
                   note=" (the reference distance)")
-    return model.intercept_db + 10.0 * model.ple * math.log10(distance_m)
+    pl = model.intercept_db + 10.0 * model.ple * math.log10(distance_m)
+    if -math.inf < pl < math.inf:  # inline: compare calls this once per grid point
+        return pl
+    raise ValueError(f"mean path loss of {model} at distance_m={distance_m} m is not finite")
 
 
 # the CI law is the FI law with its intercept fixed, so both names are one evaluator
@@ -134,4 +120,8 @@ def sample_pl(model: CiModel | FiModel, distance_m: float, n: int, seed: int) ->
     _check_finite("n", n, ge=0)
     mu = mean_pl(model, distance_m)
     rng = np.random.default_rng(seed)
-    return mu + rng.normal(0.0, model.sigma_db, size=int(n))
+    values = mu + rng.normal(0.0, model.sigma_db, size=int(n))
+    # the extremes (NaN among them) show any draw that is not finite, with no array per draw
+    if values.size and not -math.inf < values.min() <= values.max() < math.inf:
+        raise ValueError(f"a draw of {model} at distance_m={distance_m} m is not finite")
+    return values

@@ -5,6 +5,10 @@ the numbers in this module. They are kept in one place so that reports can
 show computed-vs-published deltas; computed results are never silently
 replaced by them.
 
+The campaign sounded a 2.16 GHz wide channel at up to 45 dBm effective
+radiated power, at heights of 6, 12 and 15 m and distances of 6, 9, 12, 15,
+18, 21, 24, 27, 28, 30, 32, 33, 36 and 40 m.
+
 A note on the dispersion rows ("sigma"): the published per-fit shadow-fading
 figures reproduce, to their printed precision, the *mean squared* residual of
 the corresponding least-squares fit on the bundled points (dB^2), not its
@@ -16,13 +20,9 @@ Gaussian standard deviation. See README, "The sigma convention".
 
 # Radio / campaign constants
 CARRIER_FREQ_GHZ = 60.48       # IEEE 802.11ad channel 2
-BANDWIDTH_GHZ = 2.16
-MAX_ERP_DBM = 45.0             # maximum effective radiated power
 BEAM_SPACING_DEG = 1.4         # codebook beam spacing in azimuth
 SCAN_WINDOW_BEAMS = 20         # 20 x 20 = 400 scanned beam pairs per point
 TRIALS_PER_SCAN = 15           # independent measurements averaged per scan
-CAMPAIGN_HEIGHTS_M = (6.0, 12.0, 15.0)
-CAMPAIGN_DISTANCES_M = (6, 9, 12, 15, 18, 21, 24, 27, 28, 30, 32, 33, 36, 40)
 
 # Headline distance fits over all heights (campaign table 1)
 TABLE1 = {

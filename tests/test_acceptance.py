@@ -19,13 +19,13 @@ from a2a60 import (
     BeamScanRecord,
     CiModel,
     FitPoint,
-    RawTrialRecord,
     aggregate_trials,
     ci_mean_pl,
     fit_ci,
     fit_fi,
     free_space_pl,
     friis_reference_pl,
+    load_csv,
     load_rank_points,
     load_reference_curves,
     pl_3gpp_los,
@@ -34,6 +34,7 @@ from a2a60 import (
     scenario_defaults,
     to_fit_points,
 )
+from a2a60.dataset import RAW_COLUMNS
 
 F = 60.48
 
@@ -171,14 +172,17 @@ def test_criterion_8_property_suite(fig2_fit_points):
     assert abs(a.mean() - ci_mean_pl(model, 20.0)) < 0.05
 
     # aggregation is permutation invariant
+    def raw_table(rows):
+        return load_csv(io.StringIO("\n".join([",".join(RAW_COLUMNS), *rows])))
+
     rng = random.Random(13)
     trials = [
-        RawTrialRecord(6.0, 12.0, tx, rx, t, rng.uniform(85, 115))
+        f"6.0,12.0,{tx},{rx},{t},{rng.uniform(85, 115)!r}"
         for tx in range(5) for rx in range(5) for t in range(15)
     ]
     shuffled = trials[:]
     rng.shuffle(shuffled)
-    assert aggregate_trials(trials) == aggregate_trials(shuffled)
+    assert aggregate_trials(raw_table(trials)) == aggregate_trials(raw_table(shuffled))
 
     # ranking equals a brute-force sort on a full 400-pair scan
     records = [

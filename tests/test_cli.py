@@ -161,6 +161,16 @@ class TestCompareCommand:
         assert result.stdout == ""
         assert f"invalid --distances {spec!r}: {field} must be finite" in result.stderr
 
+    @pytest.mark.parametrize("spec, scenario, end", [("1:200:1", "inoo", "200.0"),
+                                                     ("1:1e9:0.001", "umi", "1000000000.0")])
+    def test_grid_past_a_reference_range(self, run_cli, spec, scenario, end):
+        # the grid's far end is checked before the grid is built: 1:1e9:0.001
+        # would otherwise hold 10^12 distances
+        result = run_cli("compare", "--distances", spec)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert f"(the {scenario} LOS range), got {end} m" in result.stderr
+
     def test_json_matches_csv(self, run_cli):
         csv_rows = parse_csv(run_cli("compare", "--distances", "6:12:3").stdout)
         json_rows = json.loads(run_cli("compare", "--distances", "6:12:3",
@@ -193,6 +203,17 @@ class TestSampleCommand:
         values = [float(line) for line in result.stdout.splitlines()]
         # sigma 0 collapses onto the mean: published intercept + slope at 6 m
         assert all(v == pytest.approx(67.03 + 23.3 * math.log10(6.0), abs=1e-9) for v in values)
+
+    @pytest.mark.parametrize("args, model", [
+        (("--ple", "1e308", "--n", "2"), "mean path loss of CiModel(freq_ghz=60.48, ple=1e+308"),
+        (("--sigma", "1e308", "--n", "1000", "--seed", "1"), "a draw of CiModel("),
+    ])
+    def test_overflow_is_an_error(self, run_cli, args, model):
+        result = run_cli("sample", "--distance", "20", *args)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert model in result.stderr
+        assert "at distance_m=20.0 m is not finite" in result.stderr
 
     def test_distance_below_reference_fails(self, run_cli):
         result = run_cli("sample", "--distance", "0.5", "--n", "10", "--seed", "1")

@@ -11,7 +11,6 @@ from a2a60 import (
     AggregatedPoint,
     CsvFormatError,
     EmptySelectionError,
-    RawTrialRecord,
     aggregate_trials,
     load_csv,
     load_measurement_points,
@@ -89,7 +88,8 @@ class TestLoadRawCsv:
             "6,12,0,1,0,93.25",
         ))
         assert len(records) == 3
-        assert records[0] == RawTrialRecord(6.0, 12.0, 0, 0, 0, 90.125)
+        assert records.dtype.names == RAW_COLUMNS
+        assert records[0].tolist() == (6.0, 12.0, 0, 0, 0, 90.125)
 
     def test_negative_distance_names_row_and_column(self):
         with pytest.raises(CsvFormatError, match=r"row 2.*distance_m"):
@@ -125,6 +125,39 @@ class TestLoadRawCsv:
         with pytest.raises(CsvFormatError, match="header"):
             load_csv(io.StringIO(""))
 
+    def test_integer_column_rejects_text(self):
+        with pytest.raises(CsvFormatError, match=r"row 3: column tx_beam_idx: .*'abc'"):
+            load_csv(raw_csv("6,12,0,0,0,90.0", "6,12,abc,0,1,90.0"))
+
+    def test_index_past_64_bits_names_row_and_column(self):
+        with pytest.raises(CsvFormatError,
+                           match=r"row 2: column rx_beam_idx: 9{30} exceeds 64 bits"):
+            load_csv(raw_csv("6,12,0," + "9" * 30 + ",0,90.0"))
+
+    @pytest.mark.parametrize("bad, message", [
+        ("6,12,20,0,0,90.0", r"tx_beam_idx must be >= 0 and <= 19 \(the 20 x 20 scan window\)"),
+        ("6,12,0,0,0,abc", r"column path_loss_db: could not convert"),
+        ("6,12,0,0,0", "expected 6 fields"),
+    ])
+    def test_blank_rows_keep_row_numbers(self, bad, message):
+        # rows 3, 4 and 6 are blank, so the bad row is CSV row 7 but the 3rd converted one
+        rows = ("6,12,0,0,0,90.0", "", "", "6,12,0,0,1,90.0", "", bad)
+        with pytest.raises(CsvFormatError, match=f"^row 7: {message}"):
+            load_csv(raw_csv(*rows))
+        with pytest.raises(CsvFormatError, match=f"^row 3: {message}"):
+            load_csv(raw_csv("", bad, "", "6,12,0,0,1,90.0"))
+
+    def test_first_of_two_bad_rows_is_reported(self):
+        # range errors: the first bad row in the file, whichever column fails
+        with pytest.raises(CsvFormatError, match="^row 3: rx_beam_idx"):
+            load_csv(raw_csv("6,12,0,0,0,90.0", "6,12,0,20,0,90.0", "-6,12,0,0,1,90.0"))
+        with pytest.raises(CsvFormatError, match="^row 3: distance_m"):
+            load_csv(raw_csv("6,12,0,0,0,90.0", "-6,12,0,0,0,90.0", "6,12,0,20,1,90.0"))
+        # a row that does not convert stops the stream before any range is
+        # checked, so it is reported even after a row out of range
+        with pytest.raises(CsvFormatError, match="^row 4: column path_loss_db"):
+            load_csv(raw_csv("6,12,0,0,0,90.0", "6,12,0,20,0,90.0", "6,12,0,0,1,abc"))
+
     def test_path_input(self, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "6,12,0,0,0,90.0\n")
@@ -134,9 +167,13 @@ class TestLoadRawCsv:
 class TestRecordValidation:
     @given(field=st.sampled_from(RAW_COLUMNS), bad=NON_FINITE)
     def test_raw_trial_rejects_non_finite_field_by_name(self, field, bad):
-        values = dict(zip(RAW_COLUMNS, (6.0, 12.0, 0, 0, 0, 90.0)), **{field: bad})
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            RawTrialRecord(**values)
+        values = dict(zip(RAW_COLUMNS, ("6.0", "12.0", "0", "0", "0", "90.0")),
+                      **{field: repr(bad)})
+        # an integer column cannot convert the text; a float column fails its range check
+        message = (f"column {field}: invalid literal for int" if field.endswith("_idx")
+                   else f"{field} must be finite")
+        with pytest.raises(CsvFormatError, match=f"^row 3: {message}"):
+            load_csv(raw_csv("6,12,0,0,0,90.0", ",".join(values.values())))
 
     @given(field=st.sampled_from(["distance_m", "height_m", "path_loss_db", "rank"]),
            bad=NON_FINITE)
@@ -167,7 +204,7 @@ class TestLoadAggregatedCsv:
 
 class TestAggregateTrials:
     def test_identical_trials(self):
-        records = [RawTrialRecord(6.0, 12.0, 3, 4, t, 90.0) for t in range(15)]
+        records = load_csv(raw_csv(*(f"6.0,12.0,3,4,{t},90.0" for t in range(15))))
         out = aggregate_trials(records)
         assert len(out) == 1
         assert out[0].path_loss_db == 90.0
@@ -175,27 +212,22 @@ class TestAggregateTrials:
         assert (out[0].tx_beam_idx, out[0].rx_beam_idx) == (3, 4)
 
     def test_two_trials_average(self):
-        records = [
-            RawTrialRecord(6.0, 12.0, 0, 0, 0, 88.0),
-            RawTrialRecord(6.0, 12.0, 0, 0, 1, 92.0),
-        ]
+        records = load_csv(raw_csv("6.0,12.0,0,0,0,88.0", "6.0,12.0,0,0,1,92.0"))
         assert aggregate_trials(records)[0].path_loss_db == 90.0
 
     def test_empty_input(self):
-        assert aggregate_trials([]) == []
+        assert aggregate_trials(load_csv(raw_csv())) == []
 
     def test_full_scan_against_brute_force(self):
         rng = random.Random(5)
-        records = []
+        rows = []
         expected = {}
         for tx in range(20):
             for rx in range(20):
                 values = [rng.uniform(85, 115) for _ in range(15)]
                 expected[(tx, rx)] = sum(values) / len(values)
-                records += [
-                    RawTrialRecord(12.0, 6.0, tx, rx, t, v) for t, v in enumerate(values)
-                ]
-        out = aggregate_trials(records)
+                rows += [f"12.0,6.0,{tx},{rx},{t},{v!r}" for t, v in enumerate(values)]
+        out = aggregate_trials(load_csv(raw_csv(*rows)))
         assert len(out) == 400
         for rec in out:
             assert rec.path_loss_db == pytest.approx(
@@ -205,33 +237,40 @@ class TestAggregateTrials:
 
     def test_permutation_invariance(self):
         rng = random.Random(9)
-        records = [
-            RawTrialRecord(6.0, 12.0, tx, rx, t, rng.uniform(85, 115))
+        rows = [
+            f"6.0,12.0,{tx},{rx},{t},{rng.uniform(85, 115)!r}"
             for tx in range(4) for rx in range(4) for t in range(15)
         ]
-        shuffled = records[:]
+        shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert aggregate_trials(records) == aggregate_trials(shuffled)
+        assert aggregate_trials(load_csv(raw_csv(*rows))) == aggregate_trials(
+            load_csv(raw_csv(*shuffled)))
 
     def test_repeated_trial_rejected(self):
-        records = [RawTrialRecord(6.0, 12.0, 0, 1, t, 90.0 + t) for t in (0, 1, 1)]
+        records = load_csv(raw_csv(*(f"6.0,12.0,0,1,{t},{90.0 + t}" for t in (0, 1, 1))))
         with pytest.raises(ValueError, match=r"duplicate trial 1 of beam pair \(0, 1\) "
                                              r"at \(d=6.0 m, h=12.0 m\)"):
             aggregate_trials(records)
 
     def test_float_trial_index(self):
-        records = [RawTrialRecord(6.0, 12.0, 0, 0, t, 90.0 + i)
-                   for i, t in enumerate((0, 1.0, np.float64(2)))]
-        (scan,) = aggregate_trials(records)
+        # the CSV's trial column is integer: "+1" and "02" are trials 1 and 2, and
+        # every spelling of one whole number is the same trial
+        rows = [f"6.0,12.0,0,0,{t},{90.0 + i}" for i, t in enumerate(("0", "+1", "02"))]
+        (scan,) = aggregate_trials(load_csv(raw_csv(*rows)))
         assert scan.trial_count == 3
         assert scan.path_loss_db == 91.0
         with pytest.raises(ValueError, match="duplicate trial 1"):
-            aggregate_trials(records + [RawTrialRecord(6.0, 12.0, 0, 0, 1, 95.0)])
-        with pytest.raises(ValueError, match="trial_idx must be a whole number, got 1.5"):
-            RawTrialRecord(6.0, 12.0, 0, 0, 1.5, 95.0)
+            aggregate_trials(load_csv(raw_csv(*rows, "6.0,12.0,0,0,1,95.0")))
+        # a table built from float indices holds them as integers too
+        table = np.array([(6.0, 12.0, 0, 0, t, 90.0 + i)
+                          for i, t in enumerate((0, 1.0, np.float64(2)))],
+                         dtype=load_csv(raw_csv()).dtype)
+        assert aggregate_trials(table) == [scan]
+        with pytest.raises(CsvFormatError, match=r"row 2: column trial_idx: .*'1\.5'"):
+            load_csv(raw_csv("6.0,12.0,0,0,1.5,95.0"))
 
     def test_missing_trials_tolerated(self):
-        records = [RawTrialRecord(6.0, 12.0, 0, 0, t, 90.0 + t) for t in range(7)]
+        records = load_csv(raw_csv(*(f"6.0,12.0,0,0,{t},{90.0 + t}" for t in range(7))))
         out = aggregate_trials(records)
         assert out[0].trial_count == 7
         assert out[0].path_loss_db == 93.0

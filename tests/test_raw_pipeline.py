@@ -1,0 +1,77 @@
+"""The benchmark's raw-trial pipeline at campaign scale, checked against the
+independent numpy reference of `bench/campaign.py` (read, never changed)."""
+
+import csv
+import importlib.util
+import sys
+from itertools import groupby
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from a2a60 import (
+    AggregatedPoint,
+    aggregate_trials,
+    fit_misalignment_table,
+    load_csv,
+    rank_beam_pairs,
+    save_aggregated_csv,
+)
+from a2a60.dataset import MEASUREMENTS_FILE, fixture_path
+
+CAMPAIGN = Path(__file__).resolve().parents[1] / "bench" / "campaign.py"
+SEED = 601
+TOLERANCE = 1e-9
+
+
+@pytest.fixture(scope="module")
+def campaign():
+    spec = importlib.util.spec_from_file_location("bench_campaign", CAMPAIGN)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_campaign_pipeline_matches_reference(campaign, tmp_path):
+    c = campaign.generate(SEED, Path(str(fixture_path(MEASUREMENTS_FILE))))
+    raw = tmp_path / "raw.csv"
+    campaign.write_raw_csv(c, raw)
+    points = c.distance_m.size
+    pairs = campaign.WINDOW ** 2
+
+    # the chain of bench/child.py run_pipeline
+    trials = load_csv(raw)
+    assert len(trials) == points * pairs * campaign.TRIALS == 162_000
+    scans = aggregate_trials(trials)
+    rankings = [rank_beam_pairs(list(group))
+                for _, group in groupby(scans, key=lambda s: (s.distance_m, s.height_m))]
+    table = fit_misalignment_table(rankings, campaign.FREQ_GHZ, max_rank=campaign.MAX_RANK)
+    saved = [AggregatedPoint(r.distance_m, r.height_m, r.pair_at(rank)[2],
+                             None if rank == 1 else rank)
+             for rank in range(1, campaign.MAX_RANK + 1) for r in rankings]
+    save_aggregated_csv(saved, tmp_path / "aggregated.csv")
+
+    index = {pt: i for i, pt in enumerate(zip(c.distance_m.tolist(), c.height_m.tolist()))}
+    assert len(scans) == points * pairs == 10_800
+    assert all(s.trial_count == campaign.TRIALS for s in scans)
+    flat = [index[(s.distance_m, s.height_m)] * pairs + s.tx_beam_idx * campaign.WINDOW
+            + s.rx_beam_idx for s in scans]
+    assert sorted(flat) == list(range(points * pairs))
+    means = np.array([s.path_loss_db for s in scans])
+    assert np.abs(means - c.means_db.ravel()[flat]).max() <= TOLERANCE
+
+    assert len(rankings) == points
+    for ranking in rankings:
+        order = [tx * campaign.WINDOW + rx for tx, rx, _ in ranking.pairs]
+        assert order == c.order[index[(ranking.distance_m, ranking.height_m)]].tolist()
+    assert abs(table.model_for(1).ple - c.rank1_ple) <= TOLERANCE
+
+    with open(tmp_path / "aggregated.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == points * campaign.MAX_RANK == 243
+    for row in rows:
+        i = index[(float(row["distance_m"]), float(row["height_m"]))]
+        expected = c.rank_points(int(row["rank"] or 1))[i]
+        assert abs(float(row["path_loss_db"]) - expected) <= TOLERANCE
