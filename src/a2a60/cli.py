@@ -36,6 +36,7 @@ FORMATS = ("csv", "json", "markdown-table")
 REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "note")
 
 _SAMPLE_BLOCK = 1 << 10  # values formatted per stdout write by `sample`
+_MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates, all held in memory before output
 
 # dispersion note shown wherever a mean-square residual meets a published value
 _MSE_NOTE = "published dispersion values follow the mean-square (dB^2) convention"
@@ -134,6 +135,10 @@ def cmd_compare(args) -> None:
     # each column's valid distances form an interval: if the grid's two ends
     # pass, every point does, so an out-of-range grid is never built
     row(start), row(start + last * step)
+    try:  # then its size, before it is built
+        _check_finite("grid point count", last + 1, le=_MAX_GRID_POINTS)
+    except ValueError as exc:
+        raise ValueError(f"invalid --distances {args.distances!r}: {exc}") from None
     _emit(args.format, ("distance_m", "ci_fit", *SCENARIOS, "fspl"),
           [row(start + i * step) for i in range(last + 1)])
 

@@ -1,7 +1,9 @@
 """Measurement ingestion and the bundled fixture datasets.
 
 Two canonical CSV schemas. Raw sounder trials, which load as one numpy
-structured array (a field per column, each column range-checked once):
+structured array (a field per column, each column range-checked once;
+numpy's C parser reads them in bulk, and the row-by-row reader runs only
+to locate an error or read text that numpy's parser does not):
 
     distance_m,height_m,tx_beam_idx,rx_beam_idx,trial_idx,path_loss_db
 
@@ -40,6 +42,9 @@ MEASUREMENTS_FILE = "fig2_measurements.csv"
 RANK_FILES = {2: "fig6_rank2.csv", 3: "fig6_rank3.csv", 9: "fig6_rank9.csv"}
 REFERENCE_CURVES_FILE = "fig5_reference_curves.csv"
 _RAW_DTYPE = np.dtype([(name, "i8" if name.endswith("_idx") else "f8") for name in RAW_COLUMNS])
+_BULK_CHUNK = 1 << 20  # characters of raw rows per np.loadtxt call
+# ASCII separators numpy's parser strips as whitespace but Python's float and int reject
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class CsvFormatError(ValueError):
@@ -73,14 +78,19 @@ def _curves(rows, _) -> dict[str, list[tuple[float, float]]]:
     return curves
 
 
+def _check_columns(table) -> None:
+    """Range-check the raw-trial table by column. Each field's valid values
+    form an interval, so a column passes if its extremes (NaN among them) do."""
+    _check_fields((name, extreme(table[name]).item()) for name in RAW_COLUMNS
+                  for extreme in (np.min, np.max) if len(table))
+
+
 def _raw_table(rows, blank) -> np.ndarray:
-    """The raw trials as one structured array. Each field's valid values form
-    an interval, so a column passes if its extremes (NaN among them) do; if
-    one fails, the first row out of range is found and cited."""
+    """The raw trials as one structured array; if a column is out of range,
+    the first row out of range is found and cited."""
     table = np.fromiter(rows, _RAW_DTYPE)
     try:
-        _check_fields((name, extreme(table[name]).item()) for name in RAW_COLUMNS
-                      for extreme in (np.min, np.max) if len(table))
+        _check_columns(table)
     except ValueError:
         for index, values in enumerate(row.tolist() for row in table):
             try:
@@ -91,6 +101,52 @@ def _raw_table(rows, blank) -> np.ndarray:
                     row_num += skipped <= row_num
                 raise CsvFormatError(f"row {row_num}: {exc}") from None
     return table
+
+
+def _bulk_raw_table(handle) -> np.ndarray:
+    """The raw trials left in `handle`, parsed by numpy's C tokenizer a chunk
+    of lines at a time and range-checked by column. Raises ValueError on any
+    text the row-by-row reader might reject or read otherwise: a bad value or
+    quote, a wrong width, a value out of range, a line past the csv field
+    limit, or non-ASCII text (numpy's integer parser takes some non-ASCII
+    letters for digits)."""
+    limit, chunks = csv.field_size_limit(), []
+    while lines := handle.readlines(_BULK_CHUNK):
+        text = "".join(lines)
+        if (not text.isascii() or max(map(len, lines)) > limit
+                or any(char in text for char in _NUMPY_ONLY_SPACE)):
+            raise ValueError("left to the row-by-row reader")
+        if text.strip("\r\n"):  # numpy warns on a chunk of blank lines alone
+            chunks.append(np.loadtxt(lines, delimiter=",", dtype=_RAW_DTYPE, comments=None,
+                                     ndmin=1))
+    table = np.concatenate(chunks) if chunks else np.empty(0, _RAW_DTYPE)
+    _check_columns(table)
+    return table
+
+
+def _loadtxt_is_strict() -> bool:
+    """Whether np.loadtxt refuses a float in an integer column, as Python's int
+    does; numpy versions from 1.23 on read "1.5" as 1 with a DeprecationWarning
+    until that deprecation expired."""
+    try:
+        np.loadtxt(["1.5"], dtype="i8")
+    except ValueError:
+        return True
+    except DeprecationWarning:  # raised where warnings are errors
+        pass
+    return False
+
+
+_BULK_PARSE = _loadtxt_is_strict()
+
+
+def _position(stream):
+    """Where `stream` stands, to read it again from there; None if it cannot
+    seek, or cannot tell, as a text file advanced by next() cannot."""
+    try:
+        return stream.tell() if stream.seekable() else None
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 # header -> (one text converter per column, build(converted rows, numbers of the blank rows))
@@ -107,10 +163,15 @@ def _read(source, schemas):
     """Build the result of a CSV whose header is one of `schemas` from its
     non-blank rows, converted as they stream in. `source` is a path or an open
     stream. Every conversion or range error becomes a CsvFormatError naming the row.
+
+    Raw trials from a seekable source are parsed in bulk; if that fails, the
+    source is read again from where it started, row by row, which either
+    reads it or locates and reports the error.
     """
     if not hasattr(source, "read"):
         with open(source, newline="", encoding="utf-8") as handle:
             return _read(handle, schemas)
+    start = _position(source) if _BULK_PARSE else None
     rows = csv.reader(source)
     row_num, row, blank = 1, [], []  # the row being converted; the blank rows skipped
 
@@ -132,6 +193,13 @@ def _read(source, schemas):
                 f"unrecognized header {list(header)}; missing columns: {sorted(missing)}"
             )
         converters, build = schemas[header]
+        if build is _raw_table and start is not None:
+            try:
+                return _bulk_raw_table(source)
+            except (ValueError, OverflowError):  # read again, row by row, to find the error
+                source.seek(start)
+                rows = csv.reader(source)
+                next(rows)
         return build(converted(), blank)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise CsvFormatError(f"row {rows.line_num}: {exc}") from None

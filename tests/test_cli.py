@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import pytest
 
+from a2a60 import cli
 from a2a60.cli import main
 from a2a60.dataset import RAW_COLUMNS
 
@@ -171,6 +172,22 @@ class TestCompareCommand:
         assert result.stdout == ""
         assert f"(the {scenario} LOS range), got {end} m" in result.stderr
 
+    def test_grid_point_count_is_bounded(self, run_cli):
+        # every end is in range, but the grid would hold 1.49e8 rows
+        result = run_cli("compare", "--distances", "1:150:1e-6")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: invalid --distances '1:150:1e-6': grid point count "
+                                 "must be <= 1000000, got 149000001\n")
+
+    def test_grid_point_limit_is_inclusive(self, run_cli, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 18)
+        assert len(parse_csv(run_cli("compare", "--distances", "6:40:2").stdout)) == 18
+        result = run_cli("compare", "--distances", "6:42:2")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "grid point count must be <= 18, got 19" in result.stderr
+
     def test_json_matches_csv(self, run_cli):
         csv_rows = parse_csv(run_cli("compare", "--distances", "6:12:3").stdout)
         json_rows = json.loads(run_cli("compare", "--distances", "6:12:3",
@@ -311,6 +328,17 @@ class TestRawInputRejected:
         assert result.stdout == ""
         assert f"{args[0]} expects the aggregated schema" in result.stderr
         assert "aggregate raw trials first" in result.stderr
+
+    def test_header_only_raw_file(self, run_cli, tmp_path):
+        # numpy warns on a parse of no rows; nothing but the error may reach stderr
+        path = tmp_path / "header.csv"
+        path.write_text(",".join(RAW_COLUMNS) + "\n")
+        result = run_cli("fit", "--model", "ci", "--input", str(path))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == ("error: fit expects the aggregated schema "
+                                 "(distance_m,height_m,rank,path_loss_db); "
+                                 "aggregate raw trials first\n")
 
 
 class TestNonFiniteInputs:

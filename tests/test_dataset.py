@@ -2,11 +2,15 @@ import io
 import math
 import random
 import shutil
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from a2a60 import dataset
 from a2a60 import (
     AggregatedPoint,
     CsvFormatError,
@@ -33,6 +37,62 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 def raw_csv(*rows):
     return io.StringIO(RAW_HEADER + "".join(r + "\n" for r in rows))
+
+
+class UnseekableStream(io.StringIO):
+    """A stream the bulk parse cannot rewind, so it is always read row by row."""
+
+    def seekable(self):
+        return False
+
+
+def load_three_ways(text):
+    """`load_csv` of `text` from a path, a seekable stream and an unseekable
+    stream: each result, or the CsvFormatError message, in that order."""
+    outcomes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raw.csv"
+        path.write_bytes(text.encode("utf-8"))
+        for source in (path, io.StringIO(text), UnseekableStream(text)):
+            try:
+                outcomes.append(load_csv(source))
+            except CsvFormatError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
+# the canonical text of one valid raw row, as (distance, height, tx, rx, trial, path loss)
+VALID_ROW = st.tuples(
+    st.integers(1, 500).map(str), st.sampled_from(["6", "12", "15", "12.5"]),
+    *(st.integers(0, 19).map(str) for _ in range(2)), st.integers(0, 14).map(str),
+    st.floats(40.0, 200.0).map(repr),
+)
+
+
+@st.composite
+def spelled(draw, text):
+    """`text` as one of the spellings Python's float or int reads as the same
+    number; quoted, `1_0` and non-ASCII digits are beyond numpy's parser."""
+    variants = [text, "+" + text, "0" + text, f" {text} ", f"\t{text}\u3000", f'"{text}"',
+                text.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                                             "\u0664\u0665\u0666\u0667\u0668\u0669"))]
+    if len(text) > 1 and text[:2].isdigit():
+        variants.append(text[0] + "_" + text[1:])
+    return draw(st.sampled_from(variants))
+
+
+@st.composite
+def raw_text(draw, bad=None):
+    """A raw CSV of spelled rows with blank lines, in LF or CRLF; `bad`, if
+    given, is one more row at a random position."""
+    rows = draw(st.lists(VALID_ROW, max_size=12))
+    lines = [",".join([draw(spelled(field)) for field in row]) for row in rows]
+    if bad is not None:
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([RAW_HEADER.rstrip("\n"), *lines]) + newline
 
 
 class TestBundledFixtures:
@@ -162,6 +222,88 @@ class TestLoadRawCsv:
         path = tmp_path / "raw.csv"
         path.write_text(RAW_HEADER + "6,12,0,0,0,90.0\n")
         assert len(load_csv(path)) == 1
+
+
+class TestBulkParse:
+    """A seekable raw CSV is parsed by numpy in bulk; the row-by-row reader
+    runs again only if that fails, and must give the same table or error."""
+
+    @settings(deadline=None)
+    @given(text=raw_text())
+    def test_sources_agree_on_valid_rows(self, text):
+        from_path, from_stream, row_by_row = load_three_ways(text)
+        assert not isinstance(row_by_row, str), row_by_row
+        for table in (from_path, from_stream):
+            assert table.dtype == row_by_row.dtype == dataset._RAW_DTYPE
+            assert table.tolist() == row_by_row.tolist()
+
+    @settings(deadline=None)
+    @given(text=st.sampled_from([
+        "6,12,0,0,0,abc",  # text
+        "6,12,0,0,0",  # wrong width
+        "6,12,0,20,0,90.0",  # out of range
+        "6,12,0,0,0,9" + "0" * 200_000,  # a field past the csv module's limit
+    ]).flatmap(lambda bad: raw_text(bad=bad)))
+    def test_sources_agree_on_the_error(self, text):
+        from_path, from_stream, row_by_row = load_three_ways(text)
+        assert isinstance(row_by_row, str)
+        assert from_path == from_stream == row_by_row
+
+    def test_finite_over_long_field_is_still_rejected(self):
+        # numpy would read this as 1e-200001 -> 0.0; the csv module refuses the field
+        text = RAW_HEADER + "6,12,0,0,0,0." + "0" * 200_000 + "1\n"
+        assert load_three_ways(text) == ["row 2: field larger than field limit (131072)"] * 3
+
+    @pytest.mark.parametrize("field", ["3\x1c", "\x1f3", "\U00010d74"])
+    def test_text_numpy_alone_reads_is_rejected(self, field):
+        # numpy's parser strips \x1c-\x1f as whitespace and reads some
+        # non-ASCII letters as integer digits; Python's int reads neither
+        text = RAW_HEADER + f"6,12,0,0,{field},90.0\n"
+        (message,) = set(load_three_ways(text))
+        assert message.startswith("row 2: column trial_idx: invalid literal for int()")
+
+    @pytest.mark.parametrize("row, bulk", [
+        ("6,12,0,0,1,91.0", True),
+        ("6,12,0,0,1_0,91.0", False),  # Python's int reads the underscore
+        ('6,12,0,0,"1",91.0', False),  # the csv module unquotes
+        ("6,12,0,0,1,91.0\u3000", False),  # both read this, but only ASCII goes to numpy
+    ])
+    def test_bulk_parse_declines_what_it_may_misread(self, monkeypatch, row, bulk):
+        outcomes = []
+
+        def spy(handle, parse=dataset._bulk_raw_table):
+            try:
+                table = parse(handle)
+            except ValueError:
+                outcomes.append("declined")
+                raise
+            outcomes.append("parsed")
+            return table
+
+        monkeypatch.setattr(dataset, "_bulk_raw_table", spy)
+        table = load_csv(raw_csv("6,12,0,0,0,90.0", "", row))
+        assert outcomes == ["parsed" if bulk else "declined"]
+        trial = 10 if "_" in row else 1
+        assert table.tolist() == [(6.0, 12.0, 0, 0, 0, 90.0), (6.0, 12.0, 0, 0, trial, 91.0)]
+
+    def test_file_advanced_by_next_is_read_from_there(self, tmp_path):
+        # a text file read by next() cannot tell its position, so it is read row by row
+        path = tmp_path / "raw.csv"
+        path.write_text("preamble\n" + RAW_HEADER + "6,12,0,0,0,90.0\n")
+        with open(path, newline="") as handle:
+            next(handle)
+            assert load_csv(handle).tolist() == [(6.0, 12.0, 0, 0, 0, 90.0)]
+
+    @pytest.mark.parametrize("text", [RAW_HEADER, RAW_HEADER + "\n\r\n\n"])
+    def test_file_without_rows_is_an_empty_table(self, text):
+        # numpy warns "input contained no data" on a parse of blank lines alone
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tables = load_three_ways(text)
+        assert caught == []
+        for table in tables:
+            assert len(table) == 0
+            assert table.dtype == dataset._RAW_DTYPE
 
 
 class TestRecordValidation:
