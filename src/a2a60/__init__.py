@@ -29,12 +29,10 @@ from .dataset import (
     save_aggregated_csv,
     to_fit_points,
 )
-from .fitting import DegenerateFitError, FitPoint, FitReport, fit_ci, fit_fi, fit_grouped
+from .fitting import DegenerateFitError, FitReport, fit_ci, fit_fi
 from .pathloss import (
     CiModel,
     FiModel,
-    ci_mean_pl,
-    fi_mean_pl,
     free_space_pl,
     friis_reference_pl,
     mean_pl,
@@ -53,19 +51,15 @@ __all__ = [
     "DegenerateFitError",
     "EmptySelectionError",
     "FiModel",
-    "FitPoint",
     "FitReport",
     "MisalignmentTable",
     "PUBLISHED_TABLE",
     "ScenarioParams",
     "aggregate_trials",
     "beam_angle",
-    "ci_mean_pl",
     "displacement",
-    "fi_mean_pl",
     "fit_ci",
     "fit_fi",
-    "fit_grouped",
     "fit_misalignment_table",
     "free_space_pl",
     "friis_reference_pl",

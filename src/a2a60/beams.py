@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import published
-from .fitting import FitPoint, fit_ci, fit_fi
+from .fitting import fit_ci, fit_fi
 from .pathloss import CiModel, FiModel, _check_finite, mean_pl
 
 BEAM_SPACING_DEG = published.BEAM_SPACING_DEG
@@ -172,11 +172,10 @@ def fit_misalignment_table(rankings: list[BeamPairRanking], freq_ghz: float,
     _check_finite("max_rank", max_rank, ge=1)
     models: list[CiModel | FiModel] = []
     deltas = [0.0]
-    best = [FitPoint(r.distance_m, r.pair_at(1)[2]) for r in rankings]
-    models.append(fit_ci(best, freq_ghz).model)
+    distances = [r.distance_m for r in rankings]
+    models.append(fit_ci(distances, [r.pair_at(1)[2] for r in rankings], freq_ghz).model)
     for rank in range(2, max_rank + 1):
-        pts = [FitPoint(r.distance_m, r.pair_at(rank)[2]) for r in rankings]
-        models.append(fit_fi(pts).model)
+        models.append(fit_fi(distances, [r.pair_at(rank)[2] for r in rankings]).model)
         deltas.append(displacement(rankings, rank))
     return MisalignmentTable(tuple(models), tuple(deltas))
 

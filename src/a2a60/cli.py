@@ -4,9 +4,10 @@ Four subcommands: `fit` (estimate a path-loss law from aggregated
 measurements), `compare` (evaluate the fitted law against the terrestrial
 reference models and free space over a distance grid), `sample` (draw
 shadowed path-loss values), and `report` (regenerate the campaign tables
-side by side with the published values). `fit`, `compare` and `report` read
-aggregated points from `--input` or the bundled data through one loader, which
-rejects a raw-trial CSV in every subcommand: aggregate raw trials first.
+side by side with the published values). `fit`, `compare` and `report` load
+`--input` or the bundled data as one table of aggregated points, through one
+loader that tells a raw-trial table by its fields and rejects it in every
+subcommand: aggregate raw trials first.
 
 Results go to stdout, diagnostics to stderr; the exit code is nonzero iff a
 diagnostic was emitted. Output contains no timestamps, so identical
@@ -22,6 +23,7 @@ import sys
 
 from . import published
 from .dataset import (
+    AGGREGATED_COLUMNS,
     RANK_FILES,
     load_csv,
     load_measurement_points,
@@ -36,7 +38,7 @@ FORMATS = ("csv", "json", "markdown-table")
 REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "note")
 
 _SAMPLE_BLOCK = 1 << 10  # values formatted per stdout write by `sample`
-_MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates, all held in memory before output
+_MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates; json output holds every row
 
 # dispersion note shown wherever a mean-square residual meets a published value
 _MSE_NOTE = "published dispersion values follow the mean-square (dB^2) convention"
@@ -65,7 +67,7 @@ def _emit(fmt: str, columns, rows, out=None) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_full(v) for v in row])
-    elif fmt == "json":
+    elif fmt == "json":  # json.dump needs the whole list; csv and markdown stream the rows
         doc = [dict(zip(columns, row)) for row in rows]
         json.dump(doc, out, indent=2)
         out.write("\n")
@@ -83,7 +85,7 @@ def _read_points(args):
     if not args.input:
         return load_measurement_points()
     points = load_csv(args.input)
-    if not isinstance(points, list):  # raw trials load as a numpy table
+    if points.dtype.names != AGGREGATED_COLUMNS:
         raise ValueError(
             f"{args.command} expects the aggregated schema "
             "(distance_m,height_m,rank,path_loss_db); aggregate raw trials first"
@@ -91,15 +93,21 @@ def _read_points(args):
     return points
 
 
-def _load_points(args):
-    # to_fit_points converts and matches the "all", height and rank numbers itself
-    rank = None if args.rank.lower() in ("none", "best", "") else args.rank
-    return to_fit_points(_read_points(args), height=args.height, rank=rank)
+def _selection(args, flag, convert):
+    """The --FLAG filter for to_fit_points, which checks its range: "all", or
+    the text converted by `convert`; text that does not convert names the flag."""
+    text = getattr(args, flag)
+    try:
+        return text if text == "all" else convert(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid --{flag} {text!r}: {exc}") from None
 
 
 def cmd_fit(args) -> None:
-    points = _load_points(args)
-    report = fit_ci(points, args.freq_ghz) if args.model == "ci" else fit_fi(points)
+    rank = _selection(args, "rank", lambda text: None if text.lower() in ("none", "best", "")
+                      else int(text))
+    points = to_fit_points(_read_points(args), height=_selection(args, "height", float), rank=rank)
+    report = fit_ci(*points, args.freq_ghz) if args.model == "ci" else fit_fi(*points)
     columns = ("model", "points", "intercept_db", "ple", "sigma_db", "mse_db2")
     rows = [(args.model, report.point_count, report.model.intercept_db, report.model.ple,
              report.sigma_db, report.mse_db2)]
@@ -124,7 +132,7 @@ def _parse_distances(spec: str) -> tuple[float, float, int]:
 
 def cmd_compare(args) -> None:
     start, step, last = _parse_distances(args.distances)
-    ci = fit_ci(to_fit_points(_read_points(args)), args.freq_ghz).model
+    ci = fit_ci(*to_fit_points(_read_points(args)), args.freq_ghz).model
     umi, uma, rma, inoo = (scenario_defaults(name) for name in SCENARIOS)
 
     def row(d):
@@ -133,14 +141,14 @@ def cmd_compare(args) -> None:
                 pl_3gpp_los(inoo, args.freq_ghz, d), free_space_pl(args.freq_ghz, d))
 
     # each column's valid distances form an interval: if the grid's two ends
-    # pass, every point does, so an out-of-range grid is never built
+    # pass, every point does, so no row of an out-of-range grid is written
     row(start), row(start + last * step)
-    try:  # then its size, before it is built
+    try:  # then its size, before any row is written
         _check_finite("grid point count", last + 1, le=_MAX_GRID_POINTS)
     except ValueError as exc:
         raise ValueError(f"invalid --distances {args.distances!r}: {exc}") from None
     _emit(args.format, ("distance_m", "ci_fit", *SCENARIOS, "fspl"),
-          [row(start + i * step) for i in range(last + 1)])
+          (row(start + i * step) for i in range(last + 1)))
 
 
 def cmd_sample(args) -> None:
@@ -181,8 +189,8 @@ def _fit_rows(section, report, pub):
 
 def _report_table1(args):
     points = to_fit_points(_read_points(args))
-    return (_fit_rows("ci", fit_ci(points, args.freq_ghz), published.TABLE1["ci"])
-            + _fit_rows("fi", fit_fi(points), published.TABLE1["fi"]))
+    return (_fit_rows("ci", fit_ci(*points, args.freq_ghz), published.TABLE1["ci"])
+            + _fit_rows("fi", fit_fi(*points), published.TABLE1["fi"]))
 
 
 def _report_table2(args):
@@ -190,7 +198,7 @@ def _report_table2(args):
     rows = []
     mirror = "published h=6 / h=15 columns are mirrored relative to the bundled series"
     for key, label in (("all", "all"), (6.0, "h=6"), (12.0, "h=12"), (15.0, "h=15")):
-        report = fit_ci(to_fit_points(points, height=key), args.freq_ghz)
+        report = fit_ci(*to_fit_points(points, height=key), args.freq_ghz)
         note = mirror if key in (6.0, 15.0) else ""
         rows.append(_row(label, "ple", report.model.ple, published.TABLE2_PLE[key], note))
         rows += _residual_rows(label, report, published.TABLE2_SIGMA[key])
@@ -207,9 +215,9 @@ def _report_table3(args):
     if missing:
         raise ValueError(f"missing rank fixtures: {', '.join(sorted(missing))}")
 
-    reports = {1: fit_ci(to_fit_points(_read_points(args)), args.freq_ghz)}
+    reports = {1: fit_ci(*to_fit_points(_read_points(args)), args.freq_ghz)}
     for rank, points in rank_points.items():
-        reports[rank] = fit_fi(to_fit_points(points, rank=rank))
+        reports[rank] = fit_fi(*to_fit_points(points, rank=rank))
     needs_beams = "requires beam-level data"
     rows = []
     for rank in range(1, 10):
@@ -235,7 +243,7 @@ def _report_table3(args):
 
 
 def _report_conclusion(args):
-    report = fit_ci(to_fit_points(_read_points(args)), args.freq_ghz)
+    report = fit_ci(*to_fit_points(_read_points(args)), args.freq_ghz)
     pub = published.CONCLUSION
     return [
         _row("conclusion", "intercept_db", report.model.intercept_db, pub["intercept_db"]),

@@ -1,14 +1,14 @@
 """Measurement ingestion and the bundled fixture datasets.
 
-Two canonical CSV schemas. Raw sounder trials, which load as one numpy
-structured array (a field per column, each column range-checked once;
-numpy's C parser reads them in bulk, and the row-by-row reader runs only
-to locate an error or read text that numpy's parser does not):
+Two canonical CSV schemas, each of which loads as one numpy structured
+array with a field per column, each column range-checked once. Raw sounder
+trials (numpy's C parser reads them in bulk, and the row-by-row reader runs
+only to locate an error or read text that numpy's parser does not):
 
     distance_m,height_m,tx_beam_idx,rx_beam_idx,trial_idx,path_loss_db
 
-and aggregated per-point path loss (rank empty for best-beam data), which
-loads as `AggregatedPoint` records:
+and aggregated per-point path loss (rank empty for best-beam data, which
+the table holds as rank 0):
 
     distance_m,height_m,rank,path_loss_db
 
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass
+from contextlib import nullcontext
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .beams import BeamScanRecord, _check_fields
-from .fitting import FitPoint
 
 DATA_DIR_ENV = "A2A_DATA_DIR"
 
@@ -42,6 +42,9 @@ MEASUREMENTS_FILE = "fig2_measurements.csv"
 RANK_FILES = {2: "fig6_rank2.csv", 3: "fig6_rank3.csv", 9: "fig6_rank9.csv"}
 REFERENCE_CURVES_FILE = "fig5_reference_curves.csv"
 _RAW_DTYPE = np.dtype([(name, "i8" if name.endswith("_idx") else "f8") for name in RAW_COLUMNS])
+# rank 0 marks the best pair: valid ranks start at 1
+_AGGREGATED_DTYPE = np.dtype([(name, "i8" if name == "rank" else "f8")
+                              for name in AGGREGATED_COLUMNS])
 _BULK_CHUNK = 1 << 20  # characters of raw rows per np.loadtxt call
 # ASCII separators numpy's parser strips as whitespace but Python's float and int reject
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
@@ -55,18 +58,23 @@ class EmptySelectionError(ValueError):
     """A height/rank filter matched no points."""
 
 
-@dataclass(frozen=True)
-class AggregatedPoint:
-    """Trial-averaged path loss at one (distance, height); `rank` says which
-    beam-pair rank the value belongs to, None meaning the best pair."""
+def AggregatedPoint(distance_m: float, height_m: float, path_loss_db: float,
+                    rank: int | None = None) -> tuple:
+    """One checked row of an aggregated table, in its column order: the trial-averaged
+    path loss at one (distance, height) of beam-pair `rank`, None (the best pair) held as 0."""
+    _check_fields((("distance_m", distance_m), ("height_m", height_m),
+                   ("path_loss_db", path_loss_db), ("rank", rank)))
+    return (distance_m, height_m, 0 if rank is None else rank, path_loss_db)
 
-    distance_m: float
-    height_m: float
-    path_loss_db: float
-    rank: int | None = None
 
-    def __post_init__(self):
-        _check_fields(vars(self).items())
+def _rank(text: str) -> int:
+    """A rank cell: blank, the best pair, reads as 0. A written rank is checked
+    here, as in the table a written 0 would pass for a blank."""
+    if not text.strip():
+        return 0
+    rank = int(text)
+    _check_fields((("rank", rank),))
+    return rank
 
 
 def _curves(rows, _) -> dict[str, list[tuple[float, float]]]:
@@ -78,23 +86,25 @@ def _curves(rows, _) -> dict[str, list[tuple[float, float]]]:
     return curves
 
 
-def _check_columns(table) -> None:
-    """Range-check the raw-trial table by column. Each field's valid values
-    form an interval, so a column passes if its extremes (NaN among them) do."""
-    _check_fields((name, extreme(table[name]).item()) for name in RAW_COLUMNS
+def _check_columns(table, names) -> None:
+    """Range-check the `names` columns of a measurement table. Each field's valid
+    values form an interval, so a column passes if its extremes (NaN among them) do."""
+    _check_fields((name, extreme(table[name]).item()) for name in names
                   for extreme in (np.min, np.max) if len(table))
 
 
-def _raw_table(rows, blank) -> np.ndarray:
-    """The raw trials as one structured array; if a column is out of range,
-    the first row out of range is found and cited."""
-    table = np.fromiter(rows, _RAW_DTYPE)
+def _table(rows, blank, dtype) -> np.ndarray:
+    """The rows as one structured array of `dtype`; if a column is out of range,
+    the first row out of range is found and cited. Ranks were checked as they
+    were read (`_rank`)."""
+    table = np.fromiter(rows, dtype)
+    names = [name for name in dtype.names if name != "rank"]
     try:
-        _check_columns(table)
+        _check_columns(table, names)
     except ValueError:
-        for index, values in enumerate(row.tolist() for row in table):
+        for index, values in enumerate(table[names].tolist()):
             try:
-                _check_fields(zip(RAW_COLUMNS, values))
+                _check_fields(zip(names, values))
             except ValueError as exc:
                 row_num = index + 2
                 for skipped in blank:
@@ -120,7 +130,7 @@ def _bulk_raw_table(handle) -> np.ndarray:
             chunks.append(np.loadtxt(lines, delimiter=",", dtype=_RAW_DTYPE, comments=None,
                                      ndmin=1))
     table = np.concatenate(chunks) if chunks else np.empty(0, _RAW_DTYPE)
-    _check_columns(table)
+    _check_columns(table, RAW_COLUMNS)
     return table
 
 
@@ -151,10 +161,8 @@ def _position(stream):
 
 # header -> (one text converter per column, build(converted rows, numbers of the blank rows))
 _MEASUREMENT_SCHEMAS = {
-    RAW_COLUMNS: ((float, float, int, int, int, float), _raw_table),
-    AGGREGATED_COLUMNS: ((float, float, lambda text: int(text) if text.strip() else None, float),
-                         lambda rows, _: [AggregatedPoint(d, h, pl, rank)
-                                          for d, h, rank, pl in rows]),
+    RAW_COLUMNS: ((float, float, int, int, int, float), partial(_table, dtype=_RAW_DTYPE)),
+    AGGREGATED_COLUMNS: ((float, float, _rank, float), partial(_table, dtype=_AGGREGATED_DTYPE)),
 }
 _CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _curves)}
 
@@ -193,7 +201,7 @@ def _read(source, schemas):
                 f"unrecognized header {list(header)}; missing columns: {sorted(missing)}"
             )
         converters, build = schemas[header]
-        if build is _raw_table and start is not None:
+        if header == RAW_COLUMNS and start is not None:
             try:
                 return _bulk_raw_table(source)
             except (ValueError, OverflowError):  # read again, row by row, to find the error
@@ -205,7 +213,7 @@ def _read(source, schemas):
         raise CsvFormatError(f"row {rows.line_num}: {exc}") from None
     except CsvFormatError:
         raise
-    except (ValueError, OverflowError) as exc:  # a record's own check names its field;
+    except (ValueError, OverflowError) as exc:  # a curve row's own check names its field;
         # a converter's error, or a raw index past numpy's 64 bits, needs the column
         raise CsvFormatError(f"row {row_num}: {_unconvertible(header, converters, row) or exc}"
                              ) from None
@@ -226,8 +234,9 @@ def _unconvertible(header, converters, row) -> str:
     return ""
 
 
-def load_csv(source) -> np.ndarray | list[AggregatedPoint]:
-    """Load a measurement CSV (path or open stream), dispatching on header."""
+def load_csv(source) -> np.ndarray:
+    """Load a measurement CSV (path or open stream) as a structured array whose
+    fields are the columns of its header, which picks the schema."""
     return _read(source, _MEASUREMENT_SCHEMAS)
 
 
@@ -256,39 +265,35 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
         *(key[first].tolist() for key in keys[:4]), means.tolist(), counts.tolist())]
 
 
-def to_fit_points(points: list[AggregatedPoint], height="all", rank="all") -> list[FitPoint]:
-    """Project aggregated points to (distance, path loss) fit inputs.
+def to_fit_points(points: np.ndarray, height="all", rank="all") -> tuple[np.ndarray, np.ndarray]:
+    """The (distance_m, path_loss_db) columns of the aggregated points that
+    match, in file order.
 
     `height` is "all" or a height in meters; `rank` is "all", None (best
     pair) or a rank number. Raises EmptySelectionError if nothing matches.
     """
-    selected = []
-    for p in points:
-        if height != "all" and p.height_m != float(height):
-            continue
-        if rank != "all" and p.rank != (None if rank is None else int(rank)):
-            continue
-        selected.append(FitPoint(p.distance_m, p.path_loss_db))
-    if not selected:
+    selected = np.ones(len(points), dtype=bool)
+    if height != "all":
+        selected &= points["height_m"] == float(height)
+    if rank != "all":
+        number = None if rank is None else int(rank)
+        _check_fields((("rank", number),))
+        selected &= points["rank"] == (number or 0)
+    if not selected.any():
         raise EmptySelectionError(f"empty selection: no points match height={height}, rank={rank}")
-    return selected
+    return points["distance_m"][selected], points["path_loss_db"][selected]
 
 
-def save_aggregated_csv(points: list[AggregatedPoint], dest) -> None:
-    """Write aggregated points; repr precision makes a reload bit-identical."""
-
-    def _write(handle):
+def save_aggregated_csv(points, dest) -> None:
+    """Write an aggregated table, or a list of `AggregatedPoint` rows; repr
+    precision makes a reload bit-identical."""
+    rows = np.asarray(points, _AGGREGATED_DTYPE).tolist()  # Python numbers, whose repr is plain
+    with (nullcontext(dest) if hasattr(dest, "write")
+          else open(dest, "w", newline="", encoding="utf-8")) as handle:
         writer = csv.writer(handle)
         writer.writerow(AGGREGATED_COLUMNS)
-        for p in points:
-            writer.writerow([repr(p.distance_m), repr(p.height_m),
-                             "" if p.rank is None else p.rank, repr(p.path_loss_db)])
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", newline="", encoding="utf-8") as handle:
-            _write(handle)
+        for distance_m, height_m, rank, path_loss_db in rows:
+            writer.writerow([repr(distance_m), repr(height_m), rank or "", repr(path_loss_db)])
 
 
 def fixture_path(name: str):
@@ -303,13 +308,13 @@ def _open_fixture(name: str):
     return fixture_path(name).open("r", newline="", encoding="utf-8")
 
 
-def load_measurement_points(name: str = MEASUREMENTS_FILE) -> list[AggregatedPoint]:
+def load_measurement_points(name: str = MEASUREMENTS_FILE) -> np.ndarray:
     """Best-beam aggregated points (27 bundled (distance, height) markers)."""
     with _open_fixture(name) as handle:
         return load_csv(handle)
 
 
-def load_rank_points(rank: int) -> list[AggregatedPoint]:
+def load_rank_points(rank: int) -> np.ndarray:
     """Aggregated points for one beam-pair rank; only ranks 2, 3 and 9 ship
     with the toolkit (other ranks require beam-level data)."""
     if rank not in RANK_FILES:

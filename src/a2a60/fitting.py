@@ -20,18 +20,6 @@ class DegenerateFitError(ValueError):
 
 
 @dataclass(frozen=True)
-class FitPoint:
-    """One (distance, path loss) measurement used for fitting."""
-
-    distance_m: float
-    path_loss_db: float
-
-    def __post_init__(self):
-        _check_finite("distance_m", self.distance_m, ge=REFERENCE_DISTANCE_M, unit="m")
-        _check_finite("path_loss_db", self.path_loss_db)
-
-
-@dataclass(frozen=True)
 class FitReport:
     """Fitted model plus the per-point residuals (measured minus predicted).
 
@@ -53,19 +41,25 @@ class FitReport:
         return float(np.mean(np.square(self.residuals_db)))
 
 
-def _columns(points: list[FitPoint]) -> tuple[np.ndarray, np.ndarray]:
-    d = np.array([p.distance_m for p in points], dtype=float)
-    pl = np.array([p.path_loss_db for p in points], dtype=float)
+def _log_distance(distance_m, path_loss_db) -> tuple[np.ndarray, np.ndarray]:
+    """10*log10(distance) and path loss as float columns, each checked by its
+    extremes (NaN among them): distances from the 1 m reference, finite losses."""
+    d = np.asarray(distance_m, dtype=float)
+    pl = np.asarray(path_loss_db, dtype=float)
+    if d.ndim != 1 or d.shape != pl.shape:
+        raise ValueError(f"expected two columns of one length, got shapes {d.shape}, {pl.shape}")
+    for extreme in (np.min, np.max) if d.size else ():
+        _check_finite("distance_m", extreme(d).item(), ge=REFERENCE_DISTANCE_M, unit="m")
+        _check_finite("path_loss_db", extreme(pl).item())
     return 10.0 * np.log10(d), pl
 
 
-def fit_ci(points: list[FitPoint], freq_ghz: float) -> FitReport:
+def fit_ci(distance_m, path_loss_db, freq_ghz: float) -> FitReport:
     """Fit the close-in exponent: least squares through the origin on the
     excess loss over the 1 m Friis reference."""
-    points = list(points)
-    if not points:
+    x, pl = _log_distance(distance_m, path_loss_db)
+    if not x.size:
         raise DegenerateFitError("cannot fit an empty point set")
-    x, pl = _columns(points)
     y = pl - friis_reference_pl(freq_ghz)
     sxx = float(np.dot(x, x))
     if sxx == 0.0:
@@ -75,43 +69,15 @@ def fit_ci(points: list[FitPoint], freq_ghz: float) -> FitReport:
     ple = float(np.dot(x, y) / sxx)
     resid = y - ple * x
     sigma = float(np.sqrt(np.mean(resid**2)))
-    return FitReport(CiModel(freq_ghz, ple, sigma), tuple(resid.tolist()), len(points))
+    return FitReport(CiModel(freq_ghz, ple, sigma), tuple(resid.tolist()), x.size)
 
 
-def fit_fi(points: list[FitPoint]) -> FitReport:
+def fit_fi(distance_m, path_loss_db) -> FitReport:
     """Fit intercept and exponent by ordinary least squares on log-distance."""
-    points = list(points)
-    if len(points) < 2 or np.unique([p.distance_m for p in points]).size < 2:
+    x, pl = _log_distance(distance_m, path_loss_db)
+    if np.unique(x).size < 2:
         raise DegenerateFitError("need at least two points at two distinct distances")
-    x, pl = _columns(points)
     ple, intercept = np.polyfit(x, pl, 1)
     resid = pl - (intercept + ple * x)
     sigma = float(np.sqrt(np.mean(resid**2)))
-    return FitReport(
-        FiModel(float(intercept), float(ple), sigma), tuple(resid.tolist()), len(points)
-    )
-
-
-def fit_grouped(points, kind: str, freq_ghz: float | None = None) -> dict:
-    """Fit each group independently; `points` is an iterable of
-    (FitPoint, group_key) pairs and `kind` is "ci" or "fi".
-
-    Groups with degenerate data are not dropped: a single error is raised
-    naming every offending group key.
-    """
-    if kind not in ("ci", "fi"):
-        raise ValueError(f'fit kind must be "ci" or "fi", got {kind!r}')
-    if kind == "ci" and freq_ghz is None:
-        raise ValueError("the close-in fit needs the carrier frequency")
-    groups: dict = {}
-    for point, key in points:
-        groups.setdefault(key, []).append(point)
-    reports, failures = {}, []
-    for key, members in groups.items():
-        try:
-            reports[key] = fit_ci(members, freq_ghz) if kind == "ci" else fit_fi(members)
-        except DegenerateFitError as exc:
-            failures.append(f"group {key!r}: {exc}")
-    if failures:
-        raise DegenerateFitError("; ".join(failures))
-    return reports
+    return FitReport(FiModel(float(intercept), float(ple), sigma), tuple(resid.tolist()), x.size)

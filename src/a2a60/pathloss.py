@@ -100,10 +100,6 @@ def mean_pl(model: CiModel | FiModel, distance_m: float) -> float:
     raise ValueError(f"mean path loss of {model} at distance_m={distance_m} m is not finite")
 
 
-# the CI law is the FI law with its intercept fixed, so both names are one evaluator
-ci_mean_pl = fi_mean_pl = mean_pl
-
-
 def free_space_pl(freq_ghz: float, distance_m: float) -> float:
     """Friis free-space path loss in dB; valid for any positive distance."""
     _check_finite("distance_m", distance_m, gt=0.0, unit="m")

@@ -18,9 +18,7 @@ import pytest
 from a2a60 import (
     BeamScanRecord,
     CiModel,
-    FitPoint,
     aggregate_trials,
-    ci_mean_pl,
     fit_ci,
     fit_fi,
     free_space_pl,
@@ -28,6 +26,7 @@ from a2a60 import (
     load_csv,
     load_rank_points,
     load_reference_curves,
+    mean_pl,
     pl_3gpp_los,
     rank_beam_pairs,
     sample_pl,
@@ -54,7 +53,7 @@ def parse_csv(text):
 
 
 def test_criterion_1_headline_ci_fit(fig2_fit_points):
-    report = fit_ci(fig2_fit_points, F)
+    report = fit_ci(*fig2_fit_points, F)
     assert 2.24 <= report.model.ple <= 2.26
     # the published dispersion value (3.56) is reproduced by the mean-square
     # residual of this fit; its square root, the rms residual, is ~1.89 dB
@@ -64,7 +63,7 @@ def test_criterion_1_headline_ci_fit(fig2_fit_points):
 
 
 def test_criterion_2_headline_fi_fit(fig2_fit_points):
-    report = fit_fi(fig2_fit_points)
+    report = fit_fi(*fig2_fit_points)
     assert 66.5 <= report.model.intercept_db <= 67.5
     assert 2.30 <= report.model.ple <= 2.36
     print(f"ACCEPTANCE criterion 2: PASS (intercept={report.model.intercept_db:.4f} dB, "
@@ -80,7 +79,7 @@ def test_criterion_3_friis_intercept():
 def test_criterion_4_height_independence(fig2_points):
     ples = {}
     for height in (6.0, 12.0, 15.0):
-        report = fit_ci(to_fit_points(fig2_points, height=height), F)
+        report = fit_ci(*to_fit_points(fig2_points, height=height), F)
         ples[height] = report.model.ple
         assert 2.19 <= report.model.ple <= 2.32, height
     print("ACCEPTANCE criterion 4: PASS (per-height ple = "
@@ -110,13 +109,13 @@ def test_criterion_5_reference_curve_reproduction():
 
 
 def test_criterion_6_aerial_loss_exceeds_references(fig2_fit_points):
-    model = fit_ci(fig2_fit_points, F).model
+    model = fit_ci(*fig2_fit_points, F).model
     distances = sorted(set(range(9, 41, 3)) | {40})
     min_gap = math.inf
     for scenario in ("umi", "uma", "rma", "inoo"):
         params = scenario_defaults(scenario)
         for d in distances:
-            gap = ci_mean_pl(model, float(d)) - pl_3gpp_los(params, F, float(d))
+            gap = mean_pl(model, float(d)) - pl_3gpp_los(params, F, float(d))
             min_gap = min(min_gap, gap)
             assert gap > 0.0, (scenario, d)
     print(f"ACCEPTANCE criterion 6: PASS (aerial fit above every scenario at "
@@ -127,7 +126,7 @@ def test_criterion_7_rank_fit_reproduction():
     published = {2: (69.68, 2.28), 3: (74.10, 2.07), 9: (79.73, 2.03)}
     fitted = {}
     for rank, (pub_intercept, pub_ple) in published.items():
-        report = fit_fi(to_fit_points(load_rank_points(rank), rank=rank))
+        report = fit_fi(*to_fit_points(load_rank_points(rank), rank=rank))
         fitted[rank] = report.model
         assert abs(report.model.intercept_db - pub_intercept) <= 0.5, rank
         assert abs(report.model.ple - pub_ple) <= 0.05, rank
@@ -141,27 +140,26 @@ def test_criterion_7_rank_fit_reproduction():
 def test_criterion_8_property_suite(fig2_fit_points):
     # exact recovery of noiseless synthetic data
     friis = friis_reference_pl(F)
-    ci_points = [FitPoint(d, friis + 23.7 * math.log10(d)) for d in (2, 4, 8, 16, 32)]
-    ci_report = fit_ci(ci_points, F)
+    distances = (2, 4, 8, 16, 32)
+    ci_report = fit_ci(distances, [friis + 23.7 * math.log10(d) for d in distances], F)
     assert abs(ci_report.model.ple - 2.37) < 1e-9
     assert ci_report.sigma_db < 1e-9
-    fi_points = [FitPoint(d, 70.0 + 21.0 * math.log10(d)) for d in (2, 4, 8, 16, 32)]
-    fi_report = fit_fi(fi_points)
+    fi_report = fit_fi(distances, [70.0 + 21.0 * math.log10(d) for d in distances])
     assert abs(fi_report.model.intercept_db - 70.0) < 1e-9
     assert abs(fi_report.model.ple - 2.1) < 1e-9
     assert fi_report.sigma_db < 1e-9
 
     # floating-intercept shift equivariance
     shift = 7.25
-    shifted = [FitPoint(p.distance_m, p.path_loss_db + shift) for p in fig2_fit_points]
-    base, moved = fit_fi(fig2_fit_points), fit_fi(shifted)
+    distance, path_loss = fig2_fit_points
+    base, moved = fit_fi(distance, path_loss), fit_fi(distance, path_loss + shift)
     assert abs(moved.model.intercept_db - base.model.intercept_db - shift) < 1e-9
     assert abs(moved.model.ple - base.model.ple) < 1e-11
     assert abs(moved.sigma_db - base.sigma_db) < 1e-9
 
     # exponent 2 coincides with free space
     for d in (1.0, 2.5, 6.0, 40.0, 123.456):
-        assert ci_mean_pl(CiModel(F, 2.0), d) == free_space_pl(F, d)
+        assert mean_pl(CiModel(F, 2.0), d) == free_space_pl(F, d)
 
     # deterministic, statistically convergent sampling
     model = CiModel(F, 2.25, 3.56)
@@ -169,7 +167,7 @@ def test_criterion_8_property_suite(fig2_fit_points):
     b = sample_pl(model, 20.0, 100_000, seed=20200925)
     assert np.array_equal(a, b)
     assert abs(a.std() - 3.56) < 0.02 * 3.56
-    assert abs(a.mean() - ci_mean_pl(model, 20.0)) < 0.05
+    assert abs(a.mean() - mean_pl(model, 20.0)) < 0.05
 
     # aggregation is permutation invariant
     def raw_table(rows):

@@ -99,6 +99,19 @@ class TestFitCommand:
         assert "empty selection" in result.stderr
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--rank", "0", "rank must be >= 1 and <= 400, got 0"),  # 0 is no rank, not the best pair
+        ("--rank", "abc", "invalid --rank 'abc': invalid literal for int()"),
+        ("--height", "abc", "invalid --height 'abc': could not convert string to float"),
+    ])
+    def test_bad_selection_flag(self, run_cli, flag, value, message):
+        result = run_cli("fit", "--model", "ci", flag, value)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert message in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_json_matches_csv_to_ten_digits(self, run_cli):
         csv_row = parse_csv(run_cli("fit", "--model", "ci").stdout)[0]
         json_row = json.loads(run_cli("fit", "--model", "ci", "--format", "json").stdout)[0]

@@ -4,6 +4,7 @@ import random
 import shutil
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -98,21 +99,15 @@ def raw_text(draw, bad=None):
 class TestBundledFixtures:
     def test_measurement_fixture_shape(self, fig2_points):
         assert len(fig2_points) == 27
-        counts = {}
-        for p in fig2_points:
-            counts[p.height_m] = counts.get(p.height_m, 0) + 1
-            assert p.rank is None
-        assert counts == {6.0: 7, 12.0: 12, 15.0: 8}
+        assert fig2_points["rank"].tolist() == [0] * 27  # every point is a best pair
+        assert Counter(fig2_points["height_m"].tolist()) == {6.0: 7, 12.0: 12, 15.0: 8}
 
     @pytest.mark.parametrize("rank", [2, 3, 9])
     def test_rank_fixture_shape(self, rank):
         points = load_rank_points(rank)
         assert len(points) == 27
-        assert all(p.rank == rank for p in points)
-        counts = {}
-        for p in points:
-            counts[p.height_m] = counts.get(p.height_m, 0) + 1
-        assert counts == {6.0: 7, 12.0: 12, 15.0: 8}
+        assert points["rank"].tolist() == [rank] * 27
+        assert Counter(points["height_m"].tolist()) == {6.0: 7, 12.0: 12, 15.0: 8}
 
     def test_unbundled_rank_is_an_error(self):
         with pytest.raises(ValueError, match="beam-level"):
@@ -336,8 +331,8 @@ class TestLoadAggregatedCsv:
         points = load_csv(io.StringIO(
             "distance_m,height_m,rank,path_loss_db\n6,12,,85.5\n9,12,2,90.25\n"
         ))
-        assert points[0].rank is None
-        assert points[1].rank == 2
+        assert points.dtype.names == ("distance_m", "height_m", "rank", "path_loss_db")
+        assert points.tolist() == [(6.0, 12.0, 0, 85.5), (9.0, 12.0, 2, 90.25)]
 
     def test_bad_rank_value(self):
         with pytest.raises(CsvFormatError, match=r"row 2.*rank"):
@@ -420,30 +415,34 @@ class TestAggregateTrials:
 
 class TestToFitPoints:
     def test_height_filter(self, fig2_points):
-        assert len(to_fit_points(fig2_points, height=12.0)) == 12
-        assert len(to_fit_points(fig2_points, height="all")) == 27
+        assert len(to_fit_points(fig2_points, height=12.0)[0]) == 12
+        assert len(to_fit_points(fig2_points, height="all")[0]) == 27
 
     def test_rank_filter(self, fig2_points):
-        assert len(to_fit_points(fig2_points, rank=None)) == 27
+        assert len(to_fit_points(fig2_points, rank=None)[0]) == 27
         points = load_rank_points(2)
-        assert len(to_fit_points(points, rank=2)) == 27
+        assert len(to_fit_points(points, rank=2)[0]) == 27
         with pytest.raises(EmptySelectionError):
             to_fit_points(points, rank=None)
+        # 0 is how the table holds the best pair, not a rank a filter may name
+        with pytest.raises(ValueError, match="rank must be >= 1 and <= 400, got 0"):
+            to_fit_points(fig2_points, rank=0)
 
     def test_empty_selection(self, fig2_points):
         with pytest.raises(EmptySelectionError, match="height=99"):
             to_fit_points(fig2_points, height=99.0)
 
     def test_order_preserved(self, fig2_points):
-        distances = [p.distance_m for p in to_fit_points(fig2_points, height=6.0)]
-        assert distances == [6.0, 12.0, 18.0, 24.0, 30.0, 36.0, 40.0]
+        distances, path_loss = to_fit_points(fig2_points, height=6.0)
+        assert distances.tolist() == [6.0, 12.0, 18.0, 24.0, 30.0, 36.0, 40.0]
+        assert path_loss.tolist() == fig2_points["path_loss_db"][:7].tolist()
 
 
 class TestRoundTrip:
     def test_save_and_reload_is_identical(self, fig2_points, tmp_path):
         path = tmp_path / "out.csv"
         save_aggregated_csv(fig2_points, path)
-        assert load_csv(path) == fig2_points
+        assert load_csv(path).tolist() == fig2_points.tolist()
 
     def test_stream_round_trip_with_ranks(self):
         points = [
@@ -452,4 +451,6 @@ class TestRoundTrip:
         ]
         buffer = io.StringIO()
         save_aggregated_csv(points, buffer)
-        assert load_csv(io.StringIO(buffer.getvalue())) == points
+        assert buffer.getvalue().splitlines()[1:] == ["6.123456789012345,12.0,4,90.98765432109876",
+                                                      "9.0,15.0,,88.5"]
+        assert load_csv(io.StringIO(buffer.getvalue())).tolist() == points

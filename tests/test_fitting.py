@@ -6,14 +6,12 @@ from hypothesis import given, strategies as st
 
 from a2a60 import (
     DegenerateFitError,
-    FitPoint,
-    ci_mean_pl,
-    fi_mean_pl,
     fit_ci,
     fit_fi,
-    fit_grouped,
     friis_reference_pl,
     load_measurement_points,
+    load_rank_points,
+    mean_pl,
     to_fit_points,
 )
 
@@ -23,16 +21,16 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 def ci_points(freq_ghz, ple, distances=DISTANCES):
     f = friis_reference_pl(freq_ghz)
-    return [FitPoint(d, f + 10.0 * ple * math.log10(d)) for d in distances]
+    return distances, [f + 10.0 * ple * math.log10(d) for d in distances]
 
 
 def fi_points(intercept, ple, distances=DISTANCES):
-    return [FitPoint(d, intercept + 10.0 * ple * math.log10(d)) for d in distances]
+    return distances, [intercept + 10.0 * ple * math.log10(d) for d in distances]
 
 
 class TestExactRecovery:
     def test_ci_recovers_generating_exponent(self):
-        report = fit_ci(ci_points(60.48, 2.37), 60.48)
+        report = fit_ci(*ci_points(60.48, 2.37), 60.48)
         assert report.model.ple == pytest.approx(2.37, abs=1e-9)
         assert report.sigma_db < 1e-9
         assert report.point_count == len(DISTANCES)
@@ -40,13 +38,13 @@ class TestExactRecovery:
     def test_ci_on_rounded_free_space_data(self):
         # intercept 68.08 is the published rounding, 1.9e-5 dB off the exact
         # reference, so recovery is only that accurate
-        points = [FitPoint(d, 68.08 + 20.0 * math.log10(d)) for d in (2, 4, 8, 16)]
-        report = fit_ci(points, 60.48)
+        distances = (2, 4, 8, 16)
+        report = fit_ci(distances, [68.08 + 20.0 * math.log10(d) for d in distances], 60.48)
         assert report.model.ple == pytest.approx(2.0, abs=1e-5)
         assert report.sigma_db < 1e-4
 
     def test_fi_recovers_intercept_and_slope(self):
-        report = fit_fi(fi_points(70.0, 2.1))
+        report = fit_fi(*fi_points(70.0, 2.1))
         assert report.model.intercept_db == pytest.approx(70.0, abs=1e-9)
         assert report.model.ple == pytest.approx(2.1, abs=1e-9)
         assert report.sigma_db < 1e-9
@@ -54,7 +52,7 @@ class TestExactRecovery:
 
 class TestBundledAllHeights:
     def test_ci_fit(self, fig2_fit_points):
-        report = fit_ci(fig2_fit_points, 60.48)
+        report = fit_ci(*fig2_fit_points, 60.48)
         assert report.model.ple == pytest.approx(2.25, abs=0.01)
         assert report.model.ple == pytest.approx(2.2514435250769367, abs=1e-12)
         assert report.sigma_db == pytest.approx(1.8865895474051264, abs=1e-12)
@@ -63,7 +61,7 @@ class TestBundledAllHeights:
         assert report.mse_db2 == pytest.approx(3.56, abs=0.01)
 
     def test_fi_fit(self, fig2_fit_points):
-        report = fit_fi(fig2_fit_points)
+        report = fit_fi(*fig2_fit_points)
         assert report.model.intercept_db == pytest.approx(67.03, abs=0.5)
         assert report.model.ple == pytest.approx(2.33, abs=0.03)
         assert report.model.intercept_db == pytest.approx(67.02623850090802, abs=1e-12)
@@ -71,14 +69,14 @@ class TestBundledAllHeights:
         assert report.mse_db2 == pytest.approx(3.52, abs=0.01)
 
     def test_ci_fit_reproduces_plotted_curve(self, fig2_fit_points, fit_curves):
-        model = fit_ci(fig2_fit_points, 60.48).model
+        model = fit_ci(*fig2_fit_points, 60.48).model
         for d, expected in fit_curves["ci_all"]:
-            assert ci_mean_pl(model, d) == pytest.approx(expected, abs=1e-5)
+            assert mean_pl(model, d) == pytest.approx(expected, abs=1e-5)
 
     def test_fi_fit_reproduces_plotted_curve(self, fig2_fit_points, fit_curves):
-        model = fit_fi(fig2_fit_points).model
+        model = fit_fi(*fig2_fit_points).model
         for d, expected in fit_curves["fi_all"]:
-            assert fi_mean_pl(model, d) == pytest.approx(expected, abs=1e-9)
+            assert mean_pl(model, d) == pytest.approx(expected, abs=1e-9)
 
 
 class TestBundledPerHeight:
@@ -90,66 +88,73 @@ class TestBundledPerHeight:
 
     @pytest.mark.parametrize("height", [6.0, 12.0, 15.0])
     def test_ple_regression(self, fig2_points, height):
-        report = fit_ci(to_fit_points(fig2_points, height=height), 60.48)
+        report = fit_ci(*to_fit_points(fig2_points, height=height), 60.48)
         assert report.model.ple == pytest.approx(self.EXPECTED_PLE[height], abs=1e-12)
 
     def test_h12_matches_published(self, fig2_points):
-        report = fit_ci(to_fit_points(fig2_points, height=12.0), 60.48)
+        report = fit_ci(*to_fit_points(fig2_points, height=12.0), 60.48)
         assert report.model.ple == pytest.approx(2.25, abs=0.01)
 
     @pytest.mark.parametrize("height", [6.0, 12.0, 15.0])
     def test_fits_reproduce_mirrored_curves(self, fig2_points, height_curves, height):
-        model = fit_ci(to_fit_points(fig2_points, height=height), 60.48).model
+        model = fit_ci(*to_fit_points(fig2_points, height=height), 60.48).model
         for d, expected in height_curves[self.CURVE_FOR_HEIGHT[height]]:
-            assert ci_mean_pl(model, d) == pytest.approx(expected, abs=1e-5)
+            assert mean_pl(model, d) == pytest.approx(expected, abs=1e-5)
 
 
 class TestDegenerateInputs:
     def test_empty_set(self):
         with pytest.raises(DegenerateFitError):
-            fit_ci([], 60.48)
+            fit_ci([], [], 60.48)
         with pytest.raises(DegenerateFitError):
-            fit_fi([])
+            fit_fi([], [])
 
     def test_ci_all_points_at_reference_distance(self):
-        points = [FitPoint(1.0, 68.0), FitPoint(1.0, 69.0)]
         with pytest.raises(DegenerateFitError):
-            fit_ci(points, 60.48)
+            fit_ci([1.0, 1.0], [68.0, 69.0], 60.48)
 
     def test_fi_needs_two_distinct_distances(self):
         with pytest.raises(DegenerateFitError):
-            fit_fi([FitPoint(6.0, 85.0)])
+            fit_fi([6.0], [85.0])
         with pytest.raises(DegenerateFitError):
-            fit_fi([FitPoint(6.0, 85.0), FitPoint(6.0, 88.0)])
+            fit_fi([6.0, 6.0], [85.0, 88.0])
 
     def test_fit_point_validation(self):
-        with pytest.raises(ValueError):
-            FitPoint(0.5, 80.0)
-        with pytest.raises(ValueError):
-            FitPoint(6.0, float("nan"))
+        # each column is checked as a whole, wherever its bad value sits
+        for fit in (lambda d, pl: fit_ci(d, pl, 60.48), fit_fi):
+            with pytest.raises(ValueError, match="distance_m must be >= 1 m, got 0.5 m"):
+                fit([6.0, 0.5, 12.0], [85.0, 80.0, 90.0])
+            with pytest.raises(ValueError, match="path_loss_db must be finite"):
+                fit([6.0, 12.0, 18.0], [85.0, 90.0, float("nan")])
+            with pytest.raises(ValueError, match="two columns of one length"):
+                fit([6.0, 12.0], [85.0])
 
-    @given(field=st.sampled_from(["distance_m", "path_loss_db"]), bad=NON_FINITE)
-    def test_fit_point_rejects_non_finite_field_by_name(self, field, bad):
-        values = {"distance_m": 6.0, "path_loss_db": 85.0, field: bad}
+    @given(field=st.sampled_from(["distance_m", "path_loss_db"]), bad=NON_FINITE,
+           at=st.integers(0, 2), kind=st.sampled_from(["ci", "fi"]))
+    def test_fit_point_rejects_non_finite_field_by_name(self, field, bad, at, kind):
+        columns = {"distance_m": [6.0, 12.0, 18.0], "path_loss_db": [85.0, 90.0, 93.0]}
+        columns[field][at] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            FitPoint(**values)
+            if kind == "ci":
+                fit_ci(*columns.values(), 60.48)
+            else:
+                fit_fi(*columns.values())
 
 
 class TestFitProperties:
     @given(shift=st.floats(-50.0, 50.0))
     def test_fi_shift_equivariance(self, shift):
         base = load_measurement_points()
-        points = to_fit_points(base)
-        shifted = [FitPoint(p.distance_m, p.path_loss_db + shift) for p in points]
-        ref, moved = fit_fi(points), fit_fi(shifted)
+        distance, path_loss = to_fit_points(base)
+        ref, moved = fit_fi(distance, path_loss), fit_fi(distance, path_loss + shift)
         assert moved.model.intercept_db == pytest.approx(ref.model.intercept_db + shift, abs=1e-9)
         assert moved.model.ple == pytest.approx(ref.model.ple, abs=1e-11)
         assert moved.sigma_db == pytest.approx(ref.sigma_db, abs=1e-9)
 
     def test_fi_least_squares_optimality(self, fig2_fit_points):
-        report = fit_fi(fig2_fit_points)
-        x = np.array([10.0 * math.log10(p.distance_m) for p in fig2_fit_points])
-        pl = np.array([p.path_loss_db for p in fig2_fit_points])
+        report = fit_fi(*fig2_fit_points)
+        distance, pl = fig2_fit_points
+        x = np.array([10.0 * math.log10(d) for d in distance])
         best = float(np.sum((pl - report.model.intercept_db - report.model.ple * x) ** 2))
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -160,54 +165,32 @@ class TestFitProperties:
             assert perturbed >= best - 1e-9
 
     def test_ci_residual_orthogonality(self, fig2_fit_points):
-        report = fit_ci(fig2_fit_points, 60.48)
-        x = np.array([10.0 * math.log10(p.distance_m) for p in fig2_fit_points])
+        report = fit_ci(*fig2_fit_points, 60.48)
+        x = np.array([10.0 * math.log10(d) for d in fig2_fit_points[0]])
         assert float(np.dot(x, report.residuals_db)) == pytest.approx(0.0, abs=1e-6)
 
     def test_report_sigma_is_rms_of_residuals(self, fig2_fit_points):
-        for report in (fit_ci(fig2_fit_points, 60.48), fit_fi(fig2_fit_points)):
+        for report in (fit_ci(*fig2_fit_points, 60.48), fit_fi(*fig2_fit_points)):
             rms = math.sqrt(sum(r * r for r in report.residuals_db) / len(report.residuals_db))
             assert report.sigma_db == pytest.approx(rms, abs=1e-12)
             assert report.mse_db2 == pytest.approx(rms * rms, abs=1e-12)
 
 
 class TestFitGrouped:
-    def test_single_group_identical_to_plain_fit(self, fig2_fit_points):
-        plain = fit_ci(fig2_fit_points, 60.48)
-        grouped = fit_grouped([(p, "only") for p in fig2_fit_points], "ci", 60.48)
-        assert grouped == {"only": plain}
+    """Fits of the selections that group the points by height or by rank."""
 
     def test_per_height_groups(self, fig2_points):
-        tagged = []
-        for h in (6.0, 12.0, 15.0):
-            tagged += [(p, h) for p in to_fit_points(fig2_points, height=h)]
-        reports = fit_grouped(tagged, "ci", 60.48)
+        reports = {h: fit_ci(*to_fit_points(fig2_points, height=h), 60.48)
+                   for h in (6.0, 12.0, 15.0)}
         assert set(reports) == {6.0, 12.0, 15.0}
         for report in reports.values():
             assert 2.2 <= report.model.ple <= 2.3
 
     def test_rank_groups_have_increasing_intercepts(self, fig2_fit_points):
-        from a2a60 import load_rank_points
-
-        tagged = [(p, 1) for p in fig2_fit_points]
+        reports = {1: fit_fi(*fig2_fit_points)}
         for rank in (2, 3, 9):
-            tagged += [(p, rank) for p in to_fit_points(load_rank_points(rank), rank=rank)]
-        reports = fit_grouped(tagged, "fi")
+            reports[rank] = fit_fi(*to_fit_points(load_rank_points(rank), rank=rank))
         intercepts = [reports[r].model.intercept_db for r in (1, 2, 3, 9)]
         assert intercepts == sorted(intercepts)
         assert intercepts[0] < 69.7
         assert intercepts[-1] == pytest.approx(79.73, abs=0.1)
-
-    def test_degenerate_group_error_names_the_key(self):
-        good = [FitPoint(d, 80.0 + d) for d in (2.0, 4.0, 8.0)]
-        bad = [FitPoint(1.0, 80.0)]
-        tagged = [(p, "good") for p in good] + [(p, "h=99") for p in bad]
-        with pytest.raises(DegenerateFitError, match="h=99"):
-            fit_grouped(tagged, "ci", 60.48)
-
-    def test_rejects_unknown_kind_and_missing_frequency(self, fig2_fit_points):
-        tagged = [(p, 0) for p in fig2_fit_points]
-        with pytest.raises(ValueError):
-            fit_grouped(tagged, "abg")
-        with pytest.raises(ValueError):
-            fit_grouped(tagged, "ci")

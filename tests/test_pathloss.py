@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from a2a60 import (
     CiModel,
     FiModel,
-    ci_mean_pl,
-    fi_mean_pl,
     fit_ci,
     fit_fi,
     free_space_pl,
@@ -16,6 +14,7 @@ from a2a60 import (
     mean_pl,
     sample_pl,
 )
+from a2a60 import pathloss
 from a2a60.pathloss import SPEED_OF_LIGHT_M_S
 
 
@@ -68,24 +67,24 @@ class TestFreeSpace:
 
 class TestCiMeanPl:
     def test_fitted_all_heights_model_at_6m(self, fig2_fit_points):
-        model = fit_ci(fig2_fit_points, 60.48).model
-        value = ci_mean_pl(model, 6.0)
+        model = fit_ci(*fig2_fit_points, 60.48).model
+        value = mean_pl(model, 6.0)
         assert value == pytest.approx(85.5996542949231, abs=1e-5)
         assert abs(value - 85.60) <= 0.01
 
     def test_reference_distance_collapses_to_intercept(self):
         for ple in (0.5, 2.0, 3.7):
             model = CiModel(60.48, ple)
-            assert ci_mean_pl(model, 1.0) == friis_reference_pl(60.48)
+            assert mean_pl(model, 1.0) == friis_reference_pl(60.48)
 
     def test_published_exponent_at_40m(self):
-        value = ci_mean_pl(CiModel(60.48, 2.25), 40.0)
+        value = mean_pl(CiModel(60.48, 2.25), 40.0)
         # hand evaluation: 68.08 + 22.5*log10(40) = 104.126
         assert abs(value - 104.13) <= 0.01
 
     def test_rejects_below_reference_distance(self):
         with pytest.raises(ValueError):
-            ci_mean_pl(CiModel(60.48, 2.25), 0.999)
+            mean_pl(CiModel(60.48, 2.25), 0.999)
 
     @given(
         ple=st.floats(0.1, 6.0),
@@ -94,30 +93,30 @@ class TestCiMeanPl:
     )
     def test_strictly_increasing_in_distance(self, ple, d, factor):
         model = CiModel(60.48, ple)
-        assert ci_mean_pl(model, d * factor) > ci_mean_pl(model, d)
+        assert mean_pl(model, d * factor) > mean_pl(model, d)
 
     @given(f=st.floats(0.01, 120.0), d=st.floats(1.0, 1e5))
     def test_exponent_two_equals_free_space(self, f, d):
-        assert ci_mean_pl(CiModel(f, 2.0), d) == free_space_pl(f, d)
+        assert mean_pl(CiModel(f, 2.0), d) == free_space_pl(f, d)
 
 
 class TestFiMeanPl:
     def test_fitted_all_heights_model_at_6m(self, fig2_fit_points):
-        model = fit_fi(fig2_fit_points).model
-        value = fi_mean_pl(model, 6.0)
+        model = fit_fi(*fig2_fit_points).model
+        value = mean_pl(model, 6.0)
         assert value == pytest.approx(85.1503061774636, abs=1e-6)
         assert abs(value - 85.15) <= 0.01
 
     def test_intercept_at_reference_distance(self):
-        assert fi_mean_pl(FiModel(67.03, 2.33), 1.0) == 67.03
+        assert mean_pl(FiModel(67.03, 2.33), 1.0) == 67.03
 
     def test_ninth_rank_published_model_at_6m(self):
-        value = fi_mean_pl(FiModel(79.73, 2.03), 6.0)
+        value = mean_pl(FiModel(79.73, 2.03), 6.0)
         assert abs(value - 95.53) <= 0.01
 
     def test_rejects_below_reference_distance(self):
         with pytest.raises(ValueError):
-            fi_mean_pl(FiModel(67.03, 2.33), 0.5)
+            mean_pl(FiModel(67.03, 2.33), 0.5)
 
     @given(
         ple=st.floats(0.1, 6.0),
@@ -126,17 +125,19 @@ class TestFiMeanPl:
     )
     def test_strictly_increasing_in_distance(self, ple, d, factor):
         model = FiModel(70.0, ple)
-        assert fi_mean_pl(model, d * factor) > fi_mean_pl(model, d)
+        assert mean_pl(model, d * factor) > mean_pl(model, d)
 
 
 class TestMeanPlDispatch:
     def test_routes_by_model_type(self):
-        assert mean_pl(CiModel(60.48, 2.25), 6.0) == ci_mean_pl(CiModel(60.48, 2.25), 6.0)
-        assert mean_pl(FiModel(67.03, 2.33), 6.0) == fi_mean_pl(FiModel(67.03, 2.33), 6.0)
+        # each law adds its own intercept: the Friis loss at 1 m, or the fitted one
+        assert mean_pl(CiModel(60.48, 2.25), 6.0) == (friis_reference_pl(60.48)
+                                                      + 10.0 * 2.25 * math.log10(6.0))
+        assert mean_pl(FiModel(67.03, 2.33), 6.0) == 67.03 + 10.0 * 2.33 * math.log10(6.0)
 
     def test_one_evaluator_for_both_laws(self):
-        assert ci_mean_pl is mean_pl
-        assert fi_mean_pl is mean_pl
+        # no per-law alias is left beside mean_pl
+        assert not {"ci_mean_pl", "fi_mean_pl"} & set(dir(pathloss))
 
     @given(f=st.floats(0.01, 120.0), ple=st.floats(0.1, 6.0), d=st.floats(1.0, 1e4))
     def test_ci_law_is_fi_law_with_friis_intercept(self, f, ple, d):
@@ -206,7 +207,7 @@ class TestSamplePl:
         model = CiModel(60.48, 2.25, 0.0)
         values = sample_pl(model, 10.0, 5, seed=99)
         assert values.shape == (5,)
-        assert np.all(values == ci_mean_pl(model, 10.0))
+        assert np.all(values == mean_pl(model, 10.0))
 
     def test_zero_count(self):
         assert sample_pl(CiModel(60.48, 2.25, 3.56), 10.0, 0, seed=1).size == 0
@@ -226,7 +227,7 @@ class TestSamplePl:
     def test_statistics_converge_to_model(self):
         model = CiModel(60.48, 2.25, 3.56)
         values = sample_pl(model, 20.0, 100_000, seed=20200925)
-        assert abs(values.mean() - ci_mean_pl(model, 20.0)) < 0.05
+        assert abs(values.mean() - mean_pl(model, 20.0)) < 0.05
         assert abs(values.std() - 3.56) < 0.02 * 3.56
 
     def test_propagates_distance_errors(self):

@@ -5,10 +5,10 @@ from hypothesis import given, strategies as st
 
 from a2a60 import (
     ScenarioParams,
-    ci_mean_pl,
     fit_ci,
     free_space_pl,
     load_reference_curves,
+    mean_pl,
     oxygen_loss,
     pl_3gpp_los,
     scenario_defaults,
@@ -133,11 +133,11 @@ class TestCurveShape:
             assert all(pl_3gpp_los(p, F, float(d)) < top for p in others)
 
     def test_aerial_fit_exceeds_every_scenario_beyond_9m(self, fig2_fit_points):
-        model = fit_ci(fig2_fit_points, 60.48).model
+        model = fit_ci(*fig2_fit_points, 60.48).model
         for scenario in ("umi", "uma", "rma", "inoo"):
             params = scenario_defaults(scenario)
             for d in range(9, 41):
-                assert ci_mean_pl(model, float(d)) > pl_3gpp_los(params, F, float(d))
+                assert mean_pl(model, float(d)) > pl_3gpp_los(params, F, float(d))
 
 
 class TestBreakpointBranches:
