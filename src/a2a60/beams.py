@@ -34,8 +34,8 @@ _FIELD_RANGES = {
 
 
 def _check_fields(items) -> None:
-    """Check each (field, value) of a measurement against the field's range;
-    None (the rank of a best-pair point) has none."""
+    """Check each (field, value or column) of a measurement against the field's
+    range; None (the rank of a best-pair point) has none."""
     for name, value in items:
         if value is not None:
             _check_finite(name, value, **_FIELD_RANGES[name])

@@ -21,6 +21,8 @@ import csv as _csv
 import json
 import sys
 
+import numpy as np
+
 from . import published
 from .dataset import (
     AGGREGATED_COLUMNS,
@@ -37,27 +39,17 @@ from .tr38901 import SCENARIOS, pl_3gpp_los, scenario_defaults
 FORMATS = ("csv", "json", "markdown-table")
 REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "note")
 
-_SAMPLE_BLOCK = 1 << 10  # values formatted per stdout write by `sample`
-_MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates; json output holds every row
+_BLOCK = 1 << 10  # values per stdout write of `sample`, grid points per evaluation of `compare`
+_MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates
 
 # dispersion note shown wherever a mean-square residual meets a published value
 _MSE_NOTE = "published dispersion values follow the mean-square (dB^2) convention"
 
 
-def _full(value):
+def _cell(value, float_format):
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _human(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.2f}"
-    return str(value)
+    return float_format(value) if isinstance(value, float) else str(value)
 
 
 def _emit(fmt: str, columns, rows, out=None) -> None:
@@ -66,16 +58,18 @@ def _emit(fmt: str, columns, rows, out=None) -> None:
         writer = _csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_full(v) for v in row])
-    elif fmt == "json":  # json.dump needs the whole list; csv and markdown stream the rows
-        doc = [dict(zip(columns, row)) for row in rows]
-        json.dump(doc, out, indent=2)
-        out.write("\n")
+            writer.writerow([_cell(v, repr) for v in row])
+    elif fmt == "json":  # one object at a time, laid out as json.dump(rows, indent=2) would
+        opening = "[\n  "
+        for row in rows:
+            out.write(opening + json.dumps(dict(zip(columns, row)), indent=2).replace("\n", "\n  "))
+            opening = ",\n  "
+        out.write("[]\n" if opening == "[\n  " else "\n]\n")
     elif fmt == "markdown-table":
         out.write("| " + " | ".join(columns) + " |\n")
         out.write("|" + "|".join(" --- " for _ in columns) + "|\n")
         for row in rows:
-            out.write("| " + " | ".join(_human(v) for v in row) + " |\n")
+            out.write("| " + " | ".join(_cell(v, "{:.2f}".format) for v in row) + " |\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
@@ -133,22 +127,23 @@ def _parse_distances(spec: str) -> tuple[float, float, int]:
 def cmd_compare(args) -> None:
     start, step, last = _parse_distances(args.distances)
     ci = fit_ci(*to_fit_points(_read_points(args)), args.freq_ghz).model
-    umi, uma, rma, inoo = (scenario_defaults(name) for name in SCENARIOS)
+    references = [scenario_defaults(name) for name in SCENARIOS]
 
-    def row(d):
-        return (d, mean_pl(ci, d), pl_3gpp_los(umi, args.freq_ghz, d),
-                pl_3gpp_los(uma, args.freq_ghz, d), pl_3gpp_los(rma, args.freq_ghz, d),
-                pl_3gpp_los(inoo, args.freq_ghz, d), free_space_pl(args.freq_ghz, d))
+    def columns(d):
+        return (d, mean_pl(ci, d), *(pl_3gpp_los(ref, args.freq_ghz, d) for ref in references),
+                free_space_pl(args.freq_ghz, d))
 
     # each column's valid distances form an interval: if the grid's two ends
     # pass, every point does, so no row of an out-of-range grid is written
-    row(start), row(start + last * step)
+    columns(np.array([start, start + last * step]))
     try:  # then its size, before any row is written
         _check_finite("grid point count", last + 1, le=_MAX_GRID_POINTS)
     except ValueError as exc:
         raise ValueError(f"invalid --distances {args.distances!r}: {exc}") from None
+    blocks = (columns(start + np.arange(i, min(i + _BLOCK, last + 1)) * step)
+              for i in range(0, last + 1, _BLOCK))  # the same floats as start + i * step
     _emit(args.format, ("distance_m", "ci_fit", *SCENARIOS, "fspl"),
-          (row(start + i * step) for i in range(last + 1)))
+          (row for block in blocks for row in zip(*(column.tolist() for column in block))))
 
 
 def cmd_sample(args) -> None:
@@ -162,8 +157,8 @@ def cmd_sample(args) -> None:
                         ple, sigma)
     values = sample_pl(model, args.distance, args.n, args.seed)
     # one write per block of lines: the whole text at once would hold every line in memory
-    for start in range(0, values.size, _SAMPLE_BLOCK):
-        sys.stdout.write("\n".join(map(repr, values[start:start + _SAMPLE_BLOCK].tolist())) + "\n")
+    for start in range(0, values.size, _BLOCK):
+        sys.stdout.write("\n".join(map(repr, values[start:start + _BLOCK].tolist())) + "\n")
 
 
 def _row(section, param, computed, pub, note=""):
@@ -330,8 +325,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

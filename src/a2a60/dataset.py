@@ -86,13 +86,6 @@ def _curves(rows, _) -> dict[str, list[tuple[float, float]]]:
     return curves
 
 
-def _check_columns(table, names) -> None:
-    """Range-check the `names` columns of a measurement table. Each field's valid
-    values form an interval, so a column passes if its extremes (NaN among them) do."""
-    _check_fields((name, extreme(table[name]).item()) for name in names
-                  for extreme in (np.min, np.max) if len(table))
-
-
 def _table(rows, blank, dtype) -> np.ndarray:
     """The rows as one structured array of `dtype`; if a column is out of range,
     the first row out of range is found and cited. Ranks were checked as they
@@ -100,7 +93,7 @@ def _table(rows, blank, dtype) -> np.ndarray:
     table = np.fromiter(rows, dtype)
     names = [name for name in dtype.names if name != "rank"]
     try:
-        _check_columns(table, names)
+        _check_fields((name, table[name]) for name in names)
     except ValueError:
         for index, values in enumerate(table[names].tolist()):
             try:
@@ -130,7 +123,7 @@ def _bulk_raw_table(handle) -> np.ndarray:
             chunks.append(np.loadtxt(lines, delimiter=",", dtype=_RAW_DTYPE, comments=None,
                                      ndmin=1))
     table = np.concatenate(chunks) if chunks else np.empty(0, _RAW_DTYPE)
-    _check_columns(table, RAW_COLUMNS)
+    _check_fields((name, table[name]) for name in RAW_COLUMNS)
     return table
 
 

@@ -42,15 +42,14 @@ class FitReport:
 
 
 def _log_distance(distance_m, path_loss_db) -> tuple[np.ndarray, np.ndarray]:
-    """10*log10(distance) and path loss as float columns, each checked by its
-    extremes (NaN among them): distances from the 1 m reference, finite losses."""
+    """10*log10(distance) and path loss as checked float columns: distances
+    from the 1 m reference, finite losses."""
     d = np.asarray(distance_m, dtype=float)
     pl = np.asarray(path_loss_db, dtype=float)
     if d.ndim != 1 or d.shape != pl.shape:
         raise ValueError(f"expected two columns of one length, got shapes {d.shape}, {pl.shape}")
-    for extreme in (np.min, np.max) if d.size else ():
-        _check_finite("distance_m", extreme(d).item(), ge=REFERENCE_DISTANCE_M, unit="m")
-        _check_finite("path_loss_db", extreme(pl).item())
+    _check_finite("distance_m", d, ge=REFERENCE_DISTANCE_M, unit="m")
+    _check_finite("path_loss_db", pl)
     return 10.0 * np.log10(d), pl
 
 

@@ -4,7 +4,8 @@ Two single-slope laws in log-distance: the close-in (CI) form, anchored to
 the free-space loss at a 1 m reference distance, and the floating-intercept
 (FI) form, where the intercept is a free fit parameter. The CI law is the FI
 law with its intercept fixed, so one evaluator, `mean_pl`, serves both. Both
-carry a zero-mean Gaussian shadowing term in the dB domain.
+carry a zero-mean Gaussian shadowing term in the dB domain. Both evaluators,
+`mean_pl` and `free_space_pl`, take a float distance or a 1-D array of them.
 """
 
 from __future__ import annotations
@@ -21,8 +22,13 @@ REFERENCE_DISTANCE_M = 1.0
 def _check_finite(name: str, value, *, gt=-math.inf, ge=-math.inf, le=math.inf,
                   unit: str = "", note: str = "") -> None:
     """The one range check of the package: raise a ValueError naming `name`
-    unless `value` is finite, above `gt`, and within [`ge`, `le`]. `unit` and
-    `note` only shape the message."""
+    unless `value` is finite, above `gt`, and within [`ge`, `le`]. A 1-D array
+    (a column) passes if its extremes (NaN among them) do, as every valid range
+    is an interval; an empty one passes. `unit` and `note` only shape the message."""
+    if isinstance(value, np.ndarray):
+        for extreme in (np.min, np.max) if value.size else ():
+            _check_finite(name, extreme(value).item(), gt=gt, ge=ge, le=le, unit=unit, note=note)
+        return
     # NaN fails every comparison; math.isfinite is avoided because it overflows on huge ints
     if gt < value < math.inf and ge <= value <= le:
         return
@@ -81,29 +87,40 @@ class FiModel:
         _check_model(self)
 
 
+def _log10(x):
+    """math.log10 of a float, or of each value of an array: np.log10 differs
+    from it in the last bit for some distances, and output is pinned to it."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.log10, x.tolist()), float, x.size)
+    return math.log10(x)
+
+
 def friis_reference_pl(freq_ghz: float) -> float:
     """Free-space path loss at the 1 m reference distance, in dB."""
     _check_finite("freq_ghz", freq_ghz, gt=0.0, unit="GHz")
     return 20.0 * math.log10(4.0 * math.pi * freq_ghz * 1e9 / SPEED_OF_LIGHT_M_S)
 
 
-def mean_pl(model: CiModel | FiModel, distance_m: float) -> float:
+def mean_pl(model: CiModel | FiModel, distance_m):
     """Mean path loss at `distance_m` (shadowing excluded), in dB, under either
     law: the intercept at 1 m plus 10*ple dB per decade of distance."""
     if not isinstance(model, (CiModel, FiModel)):
         raise TypeError(f"expected CiModel or FiModel, got {type(model).__name__}")
     _check_finite("distance_m", distance_m, ge=REFERENCE_DISTANCE_M, unit="m",
                   note=" (the reference distance)")
-    pl = model.intercept_db + 10.0 * model.ple * math.log10(distance_m)
-    if -math.inf < pl < math.inf:  # inline: compare calls this once per grid point
-        return pl
-    raise ValueError(f"mean path loss of {model} at distance_m={distance_m} m is not finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the distance
+        pl = model.intercept_db + 10.0 * model.ple * _log10(distance_m)
+    overflow = np.flatnonzero(~np.isfinite(pl))
+    if overflow.size:
+        distance_m = np.ravel(distance_m)[overflow[0]].item()
+        raise ValueError(f"mean path loss of {model} at distance_m={distance_m} m is not finite")
+    return pl
 
 
-def free_space_pl(freq_ghz: float, distance_m: float) -> float:
+def free_space_pl(freq_ghz: float, distance_m):
     """Friis free-space path loss in dB; valid for any positive distance."""
     _check_finite("distance_m", distance_m, gt=0.0, unit="m")
-    return friis_reference_pl(freq_ghz) + 20.0 * math.log10(distance_m)
+    return friis_reference_pl(freq_ghz) + 20.0 * _log10(distance_m)
 
 
 def sample_pl(model: CiModel | FiModel, distance_m: float, n: int, seed: int) -> np.ndarray:

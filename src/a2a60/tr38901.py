@@ -3,7 +3,8 @@
 Covers the UMi street-canyon, UMa, RMa and indoor-open-office LOS laws for
 carriers between 0.5 and 100 GHz, plus a linear-in-distance oxygen absorption
 add-on for the 60 GHz band. Both link ends are assumed at the same altitude,
-so a single distance serves as d2D and d3D.
+so a single distance serves as d2D and d3D. `pl_3gpp_los` and `oxygen_loss`
+take a float distance or a 1-D array of them.
 
 The default geometries are the usual calibration values (UMi 10/1.5 m,
 UMa 25/1.5 m, RMa 35/1.5 m with 5 m average building height, indoor 3/1 m)
@@ -18,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pathloss import _check_finite
+import numpy as np
+
+from .pathloss import _check_finite, _log10
 
 # The standard's breakpoint formulas fix the propagation constant at 3e8 m/s.
 BREAKPOINT_C_M_S = 3.0e8
@@ -75,59 +78,62 @@ def scenario_defaults(scenario: str,
     return ScenarioParams(key, bs, ut, oxygen_alpha_db_per_km=oxygen_alpha_db_per_km)
 
 
-def oxygen_loss(distance_m: float, alpha_db_per_km: float) -> float:
+def oxygen_loss(distance_m, alpha_db_per_km: float):
     """Distance-proportional atmospheric absorption, in dB."""
-    if not (0.0 <= distance_m < math.inf and 0.0 <= alpha_db_per_km < math.inf):
-        _check_finite("distance_m", distance_m, ge=0.0, unit="m")
-        _check_finite("alpha_db_per_km", alpha_db_per_km, ge=0.0)
+    _check_finite("distance_m", distance_m, ge=0.0, unit="m")
+    _check_finite("alpha_db_per_km", alpha_db_per_km, ge=0.0)
     return alpha_db_per_km * distance_m / 1000.0
+
+
+def _breakpoint(d, d_bp, near, far):
+    """near(d) up to the breakpoint `d_bp` and far(d) past it, a float for a float d;
+    `far`, which overflows at absurd heights, runs only if some d is past d_bp."""
+    if not np.any(d > d_bp):
+        return near(d)
+    value = np.where(d > d_bp, far(d), near(d))
+    return value if value.ndim else value.item()
 
 
 def _pl_umi_uma(params, freq_ghz, d):
     const, slope, bp_coeff = _UMI_UMA_COEFFICIENTS[params.scenario]
+    for name in ("bs_height_m", "ut_height_m"):
+        _check_finite(name, getattr(params, name), gt=ENVIRONMENT_HEIGHT_M, unit="m",
+                      note=" (the environment height)")
     h_bs = params.bs_height_m - ENVIRONMENT_HEIGHT_M
     h_ut = params.ut_height_m - ENVIRONMENT_HEIGHT_M
-    if not (h_bs > 0.0 and h_ut > 0.0):
-        for name in ("bs_height_m", "ut_height_m"):
-            _check_finite(name, getattr(params, name), gt=ENVIRONMENT_HEIGHT_M, unit="m",
-                          note=" (the environment height)")
     d_bp = 4.0 * h_bs * h_ut * freq_ghz * 1e9 / BREAKPOINT_C_M_S
-    if d <= d_bp:
-        return const + slope * math.log10(d) + 20.0 * math.log10(freq_ghz)
-    return (const + 40.0 * math.log10(d) + 20.0 * math.log10(freq_ghz)
-            - bp_coeff * math.log10(d_bp ** 2 + (params.bs_height_m - params.ut_height_m) ** 2))
+    h_diff = params.bs_height_m - params.ut_height_m
+    return _breakpoint(d, d_bp, lambda d: const + slope * _log10(d) + 20.0 * math.log10(freq_ghz),
+                       lambda d: const + 40.0 * _log10(d) + 20.0 * math.log10(freq_ghz)
+                       - bp_coeff * math.log10(d_bp ** 2 + h_diff ** 2))
 
 
 def _pl_rma(params, freq_ghz, d):
     h = params.avg_building_height_m
 
     def before_breakpoint(dd):
-        return (20.0 * math.log10(40.0 * math.pi * dd * freq_ghz / 3.0)
-                + min(0.03 * h**1.72, 10.0) * math.log10(dd)
+        return (20.0 * _log10(40.0 * math.pi * dd * freq_ghz / 3.0)
+                + min(0.03 * h**1.72, 10.0) * _log10(dd)
                 - min(0.044 * h**1.72, 14.77)
                 + 0.002 * math.log10(h) * dd)
 
     d_bp = (2.0 * math.pi * params.bs_height_m * params.ut_height_m
             * freq_ghz * 1e9 / BREAKPOINT_C_M_S)
-    if d <= d_bp:
-        return before_breakpoint(d)
-    return before_breakpoint(d_bp) + 40.0 * math.log10(d / d_bp)
+    return _breakpoint(d, d_bp, before_breakpoint,
+                       lambda d: before_breakpoint(d_bp) + 40.0 * _log10(d / d_bp))
 
 
 def _pl_inoo(params, freq_ghz, d):
-    return 32.4 + 17.3 * math.log10(d) + 20.0 * math.log10(freq_ghz)
+    return 32.4 + 17.3 * _log10(d) + 20.0 * math.log10(freq_ghz)
 
 
 _DISPATCH = {"umi": _pl_umi_uma, "uma": _pl_umi_uma, "rma": _pl_rma, "inoo": _pl_inoo}
 
 
-def pl_3gpp_los(params: ScenarioParams, freq_ghz: float, distance_m: float) -> float:
+def pl_3gpp_los(params: ScenarioParams, freq_ghz: float, distance_m):
     """LOS path loss for the scenario, plus the oxygen term, in dB."""
-    limit = _MAX_DISTANCE_M[params.scenario]
-    # called once per grid point: values in range pass without a call (NaN fails both)
-    if not (0.5 <= freq_ghz <= 100.0 and 1.0 <= distance_m <= limit):
-        _check_finite("freq_ghz", freq_ghz, ge=0.5, le=100.0, unit="GHz")
-        _check_finite("distance_m", distance_m, ge=1.0, le=limit, unit="m",
-                      note=f" (the {params.scenario} LOS range)")
+    _check_finite("freq_ghz", freq_ghz, ge=0.5, le=100.0, unit="GHz")
+    _check_finite("distance_m", distance_m, ge=1.0, le=_MAX_DISTANCE_M[params.scenario], unit="m",
+                  note=f" (the {params.scenario} LOS range)")
     bare = _DISPATCH[params.scenario](params, freq_ghz, distance_m)
     return bare + oxygen_loss(distance_m, params.oxygen_alpha_db_per_km)

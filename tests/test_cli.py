@@ -13,9 +13,10 @@ from typing import NamedTuple
 
 import pytest
 
-from a2a60 import cli
+from a2a60 import cli, free_space_pl, mean_pl, pl_3gpp_los, scenario_defaults
 from a2a60.cli import main
 from a2a60.dataset import RAW_COLUMNS
+from a2a60.tr38901 import SCENARIOS
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDENS = REPO / "bench" / "goldens.json"
@@ -201,6 +202,33 @@ class TestCompareCommand:
         assert result.stdout == ""
         assert "grid point count must be <= 18, got 19" in result.stderr
 
+    def test_rows_match_the_scalar_laws_past_their_breakpoints(self, run_cli):
+        # at 0.5 GHz UMi breaks at 30 m, UMa at 80 m: each column, evaluated a
+        # block of distances at a time, equals the law at each distance
+        rows = parse_csv(run_cli("compare", "--distances", "1:150:0.25", "--freq-ghz", "0.5").stdout)
+        ci = cli.fit_ci(*cli.to_fit_points(cli.load_measurement_points()), 0.5).model
+        assert len(rows) == 597
+        for row in rows:
+            d = float(row["distance_m"])
+            expected = {"ci_fit": mean_pl(ci, d), "fspl": free_space_pl(0.5, d),
+                        **{name: pl_3gpp_los(scenario_defaults(name), 0.5, d) for name in SCENARIOS}}
+            assert {key: float(row[key]) for key in expected} == expected
+
+    def test_evaluates_a_block_of_grid_points_per_call(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return pl_3gpp_los(*args)
+
+        monkeypatch.setattr(cli, "pl_3gpp_los", spy)
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(["compare", "--distances", "1:150:0.01"]) == 0
+        assert buffer.getvalue().count("\n") == 1 + 14_901
+        # the grid's two ends, then each block of about 1024 points
+        assert len(calls) <= len(SCENARIOS) * (1 + math.ceil(14_901 / 1024))
+
     def test_json_matches_csv(self, run_cli):
         csv_rows = parse_csv(run_cli("compare", "--distances", "6:12:3").stdout)
         json_rows = json.loads(run_cli("compare", "--distances", "6:12:3",
@@ -208,6 +236,23 @@ class TestCompareCommand:
         for c_row, j_row in zip(csv_rows, json_rows):
             for key in c_row:
                 assert math.isclose(float(c_row[key]), j_row[key], rel_tol=1e-10)
+
+
+class TestEmit:
+    COLUMNS = ("x", "label", "note")
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(1.5, None, math.nan)],
+        [(0.1 + 0.2, 'say "hi"\nthen \\ go', -math.inf), (-0.0, "h\u00e9llo \u2603 \U0001f600", 7),
+         (1e308, "\t", None)],
+    ], ids=["none", "one", "three"])
+    def test_json_streams_what_json_dump_writes(self, rows):
+        out = io.StringIO()
+        cli._emit("json", self.COLUMNS, iter(rows), out)
+        expected = io.StringIO()
+        json.dump([dict(zip(self.COLUMNS, row)) for row in rows], expected, indent=2)
+        assert out.getvalue() == expected.getvalue() + "\n"
 
 
 class TestSampleCommand:
@@ -244,6 +289,24 @@ class TestSampleCommand:
         assert result.stdout == ""
         assert model in result.stderr
         assert "at distance_m=20.0 m is not finite" in result.stderr
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+                     "and data type float64"),
+         "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+         "and data type float64"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_memory_error_is_a_diagnostic(self, run_cli, monkeypatch, error, message):
+        # raised in place of the allocation, which is never made
+        def refuse(*args):
+            raise error
+
+        monkeypatch.setattr(cli, "sample_pl", refuse)
+        result = run_cli("sample", "--distance", "20", "--n", "10000000000000")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
 
     def test_distance_below_reference_fails(self, run_cli):
         result = run_cli("sample", "--distance", "0.5", "--n", "10", "--seed", "1")

@@ -17,6 +17,20 @@ from a2a60 import (
 from a2a60 import pathloss
 from a2a60.pathloss import SPEED_OF_LIGHT_M_S
 
+# a dense campaign grid plus log-uniform draws out to 10 km
+ARRAY_DISTANCES = np.concatenate([1.0 + np.arange(14_901) * 0.01,
+                                  10.0 ** np.random.default_rng(7).uniform(0.0, 4.0, 2_000)])
+LAWS = {
+    "ci": lambda d: mean_pl(CiModel(60.48, 2.25), d),
+    "fi": lambda d: mean_pl(FiModel(67.03, 2.33), d),
+    "fspl": lambda d: free_space_pl(60.48, d),
+}
+
+
+def in_array(value):
+    """`value` amid valid distances, as one array."""
+    return np.array([6.0, value, 40.0])
+
 
 class TestFriisReference:
     def test_campaign_frequency(self):
@@ -152,8 +166,57 @@ class TestMeanPlDispatch:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_distance(self, bad):
         for model in (CiModel(60.48, 2.25), FiModel(67.03, 2.33)):
-            with pytest.raises(ValueError, match="distance_m must be finite"):
-                mean_pl(model, bad)
+            for distance in (bad, in_array(bad)):
+                with pytest.raises(ValueError, match="distance_m must be finite"):
+                    mean_pl(model, distance)
+
+
+class TestArrayDistances:
+    @pytest.mark.parametrize("law", LAWS)
+    def test_array_matches_scalars_bit_for_bit(self, law):
+        values = LAWS[law](ARRAY_DISTANCES)
+        assert isinstance(values, np.ndarray)
+        scalars = [LAWS[law](d) for d in ARRAY_DISTANCES.tolist()]
+        assert values.tobytes() == np.array(scalars).tobytes()
+        assert {type(value) for value in scalars} == {float}  # np.float64 would print differently
+        assert LAWS[law](np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_distance_in_array_fails_as_the_scalar_does(self, law, bad):
+        with pytest.raises(ValueError) as scalar:
+            LAWS[law](bad)
+        with pytest.raises(ValueError) as array:
+            LAWS[law](in_array(bad))
+        assert str(array.value) == str(scalar.value)
+
+    def test_overflow_names_the_first_offending_distance(self):
+        # 10 * ple * log10(d) passes the largest float from d of about 63 m on
+        model = FiModel(0.0, 1e307)
+        with pytest.raises(ValueError) as scalar:
+            mean_pl(model, 100.0)
+        with pytest.raises(ValueError) as array:
+            mean_pl(model, np.array([1.0, 20.0, 100.0, 1000.0]))
+        assert str(array.value) == str(scalar.value)
+        assert str(array.value).endswith("at distance_m=100.0 m is not finite")
+
+
+class TestColumnCheck:
+    def test_column_passes_if_its_extremes_do(self):
+        pathloss._check_finite("x", np.array([3.0, 1.0, 2.0]), ge=1.0, le=3.0)
+        pathloss._check_finite("x", np.array([7, 5]), ge=5)
+        pathloss._check_finite("x", np.empty(0), gt=0.0)
+
+    @pytest.mark.parametrize("column, message", [
+        ([2.0, 4.0, 3.0], "x must be >= 1 and <= 3, got 4.0"),
+        ([2.0, 0.5, 4.0], "x must be >= 1 and <= 3, got 0.5"),  # the minimum is checked first
+        ([2.0, math.nan], "x must be finite, got nan"),
+        ([-math.inf, 2.0], "x must be finite, got -inf"),
+    ])
+    def test_column_fails_as_its_extreme_does(self, column, message):
+        with pytest.raises(ValueError) as exc:
+            pathloss._check_finite("x", np.array(column), ge=1.0, le=3.0)
+        assert str(exc.value) == message
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

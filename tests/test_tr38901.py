@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +14,7 @@ from a2a60 import (
     pl_3gpp_los,
     scenario_defaults,
 )
+from a2a60.tr38901 import SCENARIOS
 
 F = 60.48
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -30,6 +32,18 @@ def bare(scenario):
     return scenario_defaults(scenario, oxygen_alpha_db_per_km=0.0)
 
 
+def in_array(value):
+    """`value` amid distances every scenario accepts, as one array."""
+    return np.array([6.0, value, 40.0])
+
+
+def scalars(law, distances):
+    """`law` at each distance as a float: np.float64 would print differently."""
+    values = [law(d) for d in distances.tolist()]
+    assert {type(value) for value in values} == {float}
+    return np.array(values)
+
+
 class TestOxygenLoss:
     def test_zero_distance(self):
         assert oxygen_loss(0.0, 15.0) == 0.0
@@ -44,8 +58,9 @@ class TestOxygenLoss:
         )
 
     def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            oxygen_loss(-1.0, 15.0)
+        for distance in (-1.0, in_array(-1.0)):
+            with pytest.raises(ValueError):
+                oxygen_loss(distance, 15.0)
         with pytest.raises(ValueError):
             oxygen_loss(10.0, -0.5)
 
@@ -167,6 +182,17 @@ class TestBreakpointBranches:
         at_bp = pl_3gpp_los(params, 0.5, d_bp)
         assert far == pytest.approx(at_bp + 40.0 * math.log10(2.0), abs=1e-9)
 
+    @pytest.mark.parametrize("form", [float, in_array], ids=["scalar", "array"])
+    def test_far_law_runs_only_past_the_breakpoint(self, form):
+        # the far laws overflow at these heights (the square of the UMi
+        # breakpoint, the RMa breakpoint itself), but no distance reaches them;
+        # before the breakpoint, heights leave both laws unchanged
+        umi = ScenarioParams("umi", 1e160, 1.5, oxygen_alpha_db_per_km=0.0)
+        rma = ScenarioParams("rma", 1e200, 1e200, oxygen_alpha_db_per_km=0.0)
+        d = form(20.0)
+        assert np.array_equal(pl_3gpp_los(umi, F, d), pl_3gpp_los(bare("umi"), F, d))
+        assert np.array_equal(pl_3gpp_los(rma, F, d), pl_3gpp_los(bare("rma"), F, d))
+
     def test_campaign_range_is_pre_breakpoint(self):
         # defaults keep every campaign distance on the first slope: the
         # smallest breakpoint (UMi at 60.48 GHz) is ~3.6 km
@@ -183,8 +209,9 @@ class TestValidation:
 
     @pytest.mark.parametrize("scenario,limit", [("umi", 5000), ("uma", 5000), ("rma", 10000), ("inoo", 150)])
     def test_distance_ceiling_names_bound(self, scenario, limit):
-        with pytest.raises(ValueError, match=str(limit)):
-            pl_3gpp_los(scenario_defaults(scenario), F, limit + 1.0)
+        for distance in (limit + 1.0, in_array(limit + 1.0)):
+            with pytest.raises(ValueError, match=str(limit)):
+                pl_3gpp_los(scenario_defaults(scenario), F, distance)
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
@@ -245,3 +272,47 @@ class TestValidation:
     def test_rejects_carrier_outside_standard_range(self, freq_ghz):
         with pytest.raises(ValueError, match=r"freq_ghz must be >= 0\.5 GHz and <= 100 GHz"):
             pl_3gpp_los(scenario_defaults("umi"), freq_ghz, 20.0)
+
+
+class TestArrayDistances:
+    # A grid from 1 m to each scenario's limit. Its breakpoints: UMi at 30 m
+    # (0.5 GHz) and 120 m (2 GHz), UMa at 80 m and 320 m, RMa at 550 m and
+    # 2.2 km; at 60.48 GHz only UMi (3.6 km) and UMa (9.7 km, past its range)
+    @pytest.mark.parametrize("freq_ghz", [0.5, 2.0, F])
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_array_matches_scalars_bit_for_bit(self, scenario, freq_ghz):
+        params = scenario_defaults(scenario)
+        limit = {"umi": 5000.0, "uma": 5000.0, "rma": 10_000.0, "inoo": 150.0}[scenario]
+        d = np.concatenate([1.0 + np.arange(20_000) * ((limit - 1.0) / 19_999),
+                            10.0 ** np.random.default_rng(5).uniform(0.0, math.log10(limit), 1_000)])
+
+        def law(x):
+            return pl_3gpp_los(params, freq_ghz, x)
+
+        values = law(d)
+        assert isinstance(values, np.ndarray)
+        assert values.tobytes() == scalars(law, d).tobytes()
+        assert law(np.empty(0)).shape == (0,)
+
+    def test_breakpoints_fall_inside_the_grids(self):
+        # 40 dB per decade is the slope past the breakpoint only, so each grid
+        # above holds distances on both sides of it
+        for scenario, freq_ghz, past in (("umi", 0.5, 40.0), ("uma", 2.0, 400.0),
+                                         ("rma", 0.5, 1000.0), ("rma", 2.0, 9000.0)):
+            params = bare(scenario)
+            slope = pl_3gpp_los(params, freq_ghz, past * 1.1) - pl_3gpp_los(params, freq_ghz, past)
+            assert slope == pytest.approx(40.0 * math.log10(1.1), abs=0.2), (scenario, freq_ghz)
+
+    def test_oxygen_array_matches_scalars(self):
+        d = np.arange(10_001) * 1.0
+        assert oxygen_loss(d, 15.0).tobytes() == scalars(lambda x: oxygen_loss(x, 15.0), d).tobytes()
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.5, 1e5])
+    def test_bad_distance_in_array_fails_as_the_scalar_does(self, scenario, bad):
+        params = scenario_defaults(scenario)
+        with pytest.raises(ValueError) as scalar:
+            pl_3gpp_los(params, F, bad)
+        with pytest.raises(ValueError) as array:
+            pl_3gpp_los(params, F, in_array(bad))
+        assert str(array.value) == str(scalar.value)
