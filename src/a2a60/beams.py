@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import published
 from .fitting import fit_ci, fit_fi
@@ -84,20 +85,19 @@ def rank_beam_pairs(records: list[BeamScanRecord]) -> BeamPairRanking:
     records = list(records)
     if not records:
         raise ValueError("cannot rank an empty beam scan")
-    key = (records[0].distance_m, records[0].height_m)
-    seen = set()
-    for r in records:
-        if (r.distance_m, r.height_m) != key:
-            raise ValueError(
-                f"mixed measurement points in one scan: {key} and {(r.distance_m, r.height_m)}"
-            )
-        pair = (r.tx_beam_idx, r.rx_beam_idx)
-        if pair in seen:
-            raise ValueError(f"duplicate beam pair {pair} at (d={key[0]} m, h={key[1]} m)")
-        seen.add(pair)
-    ordered = sorted(records, key=lambda r: (r.path_loss_db, r.tx_beam_idx, r.rx_beam_idx))
-    return BeamPairRanking(key[0], key[1],
-                           tuple((r.tx_beam_idx, r.rx_beam_idx, r.path_loss_db) for r in ordered))
+    point, pair = attrgetter("distance_m", "height_m"), attrgetter("tx_beam_idx", "rx_beam_idx")
+    key = point(records[0])
+    if len(set(map(point, records))) > 1 or len(set(map(pair, records))) < len(records):
+        seen = set()  # find the first record off the point, or repeating a pair
+        for r in records:
+            if point(r) != key:
+                raise ValueError(f"mixed measurement points in one scan: {key} and {point(r)}")
+            if pair(r) in seen:
+                raise ValueError(f"duplicate beam pair {pair(r)} at (d={key[0]} m, h={key[1]} m)")
+            seen.add(pair(r))
+    ordered = sorted(records, key=attrgetter("path_loss_db", "tx_beam_idx", "rx_beam_idx"))
+    return BeamPairRanking(*key, tuple(map(attrgetter("tx_beam_idx", "rx_beam_idx",
+                                                      "path_loss_db"), ordered)))
 
 
 def beam_angle(beam_idx: int, window_size: int = SCAN_WINDOW_BEAMS) -> float:

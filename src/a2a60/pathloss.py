@@ -110,10 +110,15 @@ def mean_pl(model: CiModel | FiModel, distance_m):
                   note=" (the reference distance)")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the distance
         pl = model.intercept_db + 10.0 * model.ple * _log10(distance_m)
+    return _check_result(pl, distance_m, f"mean path loss of {model}")
+
+
+def _check_result(pl, distance_m, what: str):
+    """`pl`, the loss at `distance_m`; if not finite, a ValueError naming `what` and where."""
     overflow = np.flatnonzero(~np.isfinite(pl))
     if overflow.size:
         distance_m = np.ravel(distance_m)[overflow[0]].item()
-        raise ValueError(f"mean path loss of {model} at distance_m={distance_m} m is not finite")
+        raise ValueError(f"{what} at distance_m={distance_m} m is not finite")
     return pl
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pathloss import _check_finite, _log10
+from .pathloss import _check_finite, _check_result, _log10
 
 # The standard's breakpoint formulas fix the propagation constant at 3e8 m/s.
 BREAKPOINT_C_M_S = 3.0e8
@@ -135,5 +135,7 @@ def pl_3gpp_los(params: ScenarioParams, freq_ghz: float, distance_m):
     _check_finite("freq_ghz", freq_ghz, ge=0.5, le=100.0, unit="GHz")
     _check_finite("distance_m", distance_m, ge=1.0, le=_MAX_DISTANCE_M[params.scenario], unit="m",
                   note=f" (the {params.scenario} LOS range)")
-    bare = _DISPATCH[params.scenario](params, freq_ghz, distance_m)
-    return bare + oxygen_loss(distance_m, params.oxygen_alpha_db_per_km)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the distance
+        pl = (_DISPATCH[params.scenario](params, freq_ghz, distance_m)
+              + oxygen_loss(distance_m, params.oxygen_alpha_db_per_km))
+    return _check_result(pl, distance_m, f"LOS path loss of the {params.scenario} scenario")

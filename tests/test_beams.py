@@ -114,6 +114,17 @@ class TestRankBeamPairs:
         with pytest.raises(ValueError, match="duplicate"):
             rank_beam_pairs([record(6.0, 12.0, 2, 2, 90.0), record(6.0, 12.0, 2, 2, 91.0)])
 
+    def test_errors_name_the_first_offending_point_or_pair(self):
+        # the set checks only detect a mixed or repeated scan; the messages still
+        # name the first record that differs from the first one, or repeats a pair
+        scan = [record(6.0, 12.0, tx, 0, 90.0 + tx) for tx in range(5)]
+        with pytest.raises(ValueError, match=r"^duplicate beam pair \(3, 0\) "
+                                             r"at \(d=6\.0 m, h=12\.0 m\)$"):
+            rank_beam_pairs(scan + [record(6.0, 12.0, 3, 0, 80.0), record(9.0, 12.0, 1, 1, 91.0)])
+        with pytest.raises(ValueError, match=r"^mixed measurement points in one scan: "
+                                             r"\(6\.0, 12\.0\) and \(6\.0, 15\.0\)$"):
+            rank_beam_pairs(scan + [record(6.0, 15.0, 3, 0, 80.0), record(9.0, 12.0, 1, 1, 91.0)])
+
     def test_rejects_indices_outside_window(self):
         with pytest.raises(ValueError, match="window"):
             rank_beam_pairs([record(6.0, 12.0, 20, 0, 90.0)])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import random
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from a2a60 import dataset
 from a2a60 import (
     AggregatedPoint,
+    BeamScanRecord,
     CsvFormatError,
     EmptySelectionError,
     aggregate_trials,
@@ -411,6 +413,64 @@ class TestAggregateTrials:
         out = aggregate_trials(records)
         assert out[0].trial_count == 7
         assert out[0].path_loss_db == 93.0
+
+    def test_overflowing_mean_names_pair_and_point(self):
+        rows = ["6.0,12.0,0,0,0,90.0", "6.0,12.0,0,1,0,1e308", "6.0,12.0,0,1,1,1e308",
+                "9.0,12.0,0,1,0,1e308", "9.0,12.0,0,1,1,1e308"]
+        with pytest.raises(ValueError, match=r"^mean path loss of beam pair \(0, 1\) "
+                                             r"at \(d=6\.0 m, h=12\.0 m\) is not finite$"):
+            aggregate_trials(load_csv(raw_csv(*rows)))
+
+    def test_records_equal_checked_records(self):
+        rows = [f"{d},{h},{tx},{rx},{t},{85.0 + d + h + tx + rx + t / 7}" for d in (6.0, 12.5)
+                for h in (6.0, 15.0) for tx in (0, 19) for rx in (3, 4) for t in range(3)]
+        out = aggregate_trials(load_csv(raw_csv(*rows)))
+        checked = [BeamScanRecord(*vars(r).values()) for r in out]
+        assert [type(r) for r in out] == [BeamScanRecord] * 16
+        assert out == checked
+        assert list(map(hash, out)) == list(map(hash, checked))
+        assert list(map(repr, out)) == list(map(repr, checked))
+        assert [vars(r) for r in out] == [vars(r) for r in checked]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            out[0].path_loss_db = 0.0
+
+    @pytest.mark.parametrize("field, bad, message", [
+        ("tx_beam_idx", 20, r"tx_beam_idx must be >= 0 and <= 19 \(the 20 x 20 scan window\)"),
+        ("rx_beam_idx", 20, r"rx_beam_idx must be >= 0 and <= 19 \(the 20 x 20 scan window\)"),
+        ("trial_idx", 15, r"trial_idx must be >= 0 and <= 14, got 15"),
+        ("trial_idx", -1, r"trial_idx must be >= 0 and <= 14, got -1"),
+        ("distance_m", math.nan, r"distance_m must be finite, got nan"),
+        ("height_m", -6.0, r"height_m must be > 0 m, got -6.0 m"),
+    ])
+    def test_hand_built_table_is_range_checked(self, field, bad, message):
+        # an index out of range would alias a neighbouring key: (0, 20) is (1, 0),
+        # trial 15 of (0, 0) is trial 0 of (0, 1)
+        table = np.array([(6.0, 12.0, 0, 0, 0, 90.0), (6.0, 12.0, 1, 0, 0, 91.0),
+                          (6.0, 12.0, 0, 1, 0, 92.0)], dtype=dataset._RAW_DTYPE)
+        table[field][0] = bad
+        with pytest.raises(ValueError, match=message):
+            aggregate_trials(table)
+
+    @pytest.mark.parametrize("max_points", [dataset._MAX_POINTS, 50])
+    def test_distinct_distances_and_heights(self, monkeypatch, max_points):
+        # with max_points low, the (distance, height) grid is too large for one
+        # key and only the points present are numbered
+        monkeypatch.setattr(dataset, "_MAX_POINTS", max_points)
+        rng = np.random.default_rng(3)
+        n = 600
+        table = np.zeros(n, dataset._RAW_DTYPE)
+        table["distance_m"] = rng.permutation(n) + 1.5
+        table["height_m"] = rng.permutation(n) / 8 + 0.125
+        table["tx_beam_idx"], table["rx_beam_idx"] = rng.integers(0, 20, (2, n))
+        table["trial_idx"] = rng.integers(0, 15, n)
+        table["path_loss_db"] = rng.uniform(80, 120, n)
+        table = np.concatenate([table, table[:40]])  # second trials of 40 pairs
+        table["trial_idx"][n:] = (table["trial_idx"][:40] + 1) % 15
+        expected = {}
+        for d, h, tx, rx, trial, pl in sorted(table.tolist(), key=lambda row: row[:5]):
+            expected.setdefault((d, h, tx, rx), []).append(pl)
+        assert aggregate_trials(table) == [BeamScanRecord(*key, sum(pl) / len(pl), len(pl))
+                                           for key, pl in sorted(expected.items())]
 
 
 class TestToFitPoints:

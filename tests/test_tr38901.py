@@ -273,6 +273,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"freq_ghz must be >= 0\.5 GHz and <= 100 GHz"):
             pl_3gpp_los(scenario_defaults("umi"), freq_ghz, 20.0)
 
+    @pytest.mark.parametrize("distance", [5000.0, np.array([1.0, 5000.0, 5000.0])])
+    def test_overflowing_result_names_scenario_and_distance(self, distance):
+        # a finite but absurd oxygen coefficient overflows the oxygen term; the
+        # array path must raise as the float path does, with no numpy warning
+        with pytest.raises(ValueError, match=r"^LOS path loss of the umi scenario "
+                                             r"at distance_m=5000\.0 m is not finite$"):
+            pl_3gpp_los(scenario_defaults("umi", 1e308), F, distance)
+        assert math.isfinite(pl_3gpp_los(scenario_defaults("umi", 1e308), F, 1.0))
+
 
 class TestArrayDistances:
     # A grid from 1 m to each scenario's limit. Its breakpoints: UMi at 30 m
