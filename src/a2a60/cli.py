@@ -33,13 +33,13 @@ from .dataset import (
     to_fit_points,
 )
 from .fitting import fit_ci, fit_fi
-from .pathloss import CiModel, FiModel, _check_finite, free_space_pl, mean_pl, sample_pl
+from .pathloss import CiModel, FiModel, _check_finite, _draw_blocks, free_space_pl, mean_pl
 from .tr38901 import SCENARIOS, pl_3gpp_los, scenario_defaults
 
 FORMATS = ("csv", "json", "markdown-table")
 REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "note")
 
-_BLOCK = 1 << 10  # values per stdout write of `sample`, grid points per evaluation of `compare`
+_BLOCK = 1 << 10  # draws per check and write of `sample`, grid points per evaluation of `compare`
 _MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates
 
 # dispersion note shown wherever a mean-square residual meets a published value
@@ -155,10 +155,11 @@ def cmd_sample(args) -> None:
     else:
         model = FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
                         ple, sigma)
-    values = sample_pl(model, args.distance, args.n, args.seed)
-    # one write per block of lines: the whole text at once would hold every line in memory
-    for start in range(0, values.size, _BLOCK):
-        sys.stdout.write("\n".join(map(repr, values[start:start + _BLOCK].tolist())) + "\n")
+    blocks = _draw_blocks(model, args.distance, args.n, args.seed, _BLOCK)
+    for _ in blocks():  # a first pass checks every draw, so an error leaves stdout empty
+        pass
+    for values in blocks():  # one write per block: memory does not grow with --n
+        sys.stdout.write("\n".join(map(repr, values.tolist())) + "\n")
 
 
 def _row(section, param, computed, pub, note=""):

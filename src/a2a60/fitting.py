@@ -74,7 +74,7 @@ def fit_ci(distance_m, path_loss_db, freq_ghz: float) -> FitReport:
 def fit_fi(distance_m, path_loss_db) -> FitReport:
     """Fit intercept and exponent by ordinary least squares on log-distance."""
     x, pl = _log_distance(distance_m, path_loss_db)
-    if np.unique(x).size < 2:
+    if not x.size or x.min() == x.max():  # np.unique would import numpy.ma on numpy >= 2.3
         raise DegenerateFitError("need at least two points at two distinct distances")
     ple, intercept = np.polyfit(x, pl, 1)
     resid = pl - (intercept + ple * x)

@@ -110,6 +110,7 @@ def _pl_umi_uma(params, freq_ghz, d):
 
 def _pl_rma(params, freq_ghz, d):
     h = params.avg_building_height_m
+    _check_finite("avg_building_height_m", h, le=1e179, unit="m", note=" (where h**1.72 overflows)")
 
     def before_breakpoint(dd):
         return (20.0 * _log10(40.0 * math.pi * dd * freq_ghz / 3.0)

@@ -13,7 +13,17 @@ from typing import NamedTuple
 
 import pytest
 
-from a2a60 import cli, free_space_pl, mean_pl, pl_3gpp_los, scenario_defaults
+from a2a60 import (
+    CiModel,
+    FiModel,
+    cli,
+    free_space_pl,
+    mean_pl,
+    pl_3gpp_los,
+    published,
+    sample_pl,
+    scenario_defaults,
+)
 from a2a60.cli import main
 from a2a60.dataset import RAW_COLUMNS
 from a2a60.tr38901 import SCENARIOS
@@ -290,6 +300,47 @@ class TestSampleCommand:
         assert model in result.stderr
         assert "at distance_m=20.0 m is not finite" in result.stderr
 
+    def test_overflow_past_the_first_block_leaves_stdout_empty(self, run_cli):
+        # seed 2 first overflows at draw 2989, in the third block of 1024
+        result = run_cli("sample", "--distance", "20", "--sigma", "5e307", "--n", "5000",
+                         "--seed", "2")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: a draw of CiModel(")
+        assert len(run_cli("sample", "--distance", "20", "--sigma", "5e307", "--n", "2989",
+                           "--seed", "2").stdout.splitlines()) == 2989
+
+    @pytest.mark.parametrize("model", ["ci", "fi"])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+    def test_lines_are_the_library_draws(self, run_cli, model, n):
+        pub = published.TABLE1[model]
+        law = (CiModel(published.CARRIER_FREQ_GHZ, pub["ple"], pub["sigma"]) if model == "ci"
+               else FiModel(pub["intercept_db"], pub["ple"], pub["sigma"]))
+        result = run_cli("sample", "--model", model, "--distance", "20", "--n", str(n),
+                         "--seed", "11")
+        assert result.returncode == 0
+        assert result.stdout.splitlines() == list(map(repr, sample_pl(law, 20.0, n, 11).tolist()))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_memory_does_not_grow_with_n(self):
+        # VmHWM, unlike ru_maxrss, starts afresh at exec: the test process's own
+        # peak does not leak into the child's
+        code = ("import sys\n"
+                "from a2a60.cli import main\n"
+                "main(sys.argv[1:])\n"
+                "status = open('/proc/self/status').read()\n"
+                "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr)\n")
+        path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+
+        def peak_kib(n):
+            result = subprocess.run(
+                [sys.executable, "-c", code, "sample", "--distance", "20", "--n", str(n)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=path))
+            return int(result.stderr)
+
+        assert peak_kib(300_000) - peak_kib(1000) <= 1024
+
     @pytest.mark.parametrize("error, message", [
         (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
                      "and data type float64"),
@@ -298,11 +349,11 @@ class TestSampleCommand:
         (MemoryError(), "MemoryError"),
     ])
     def test_memory_error_is_a_diagnostic(self, run_cli, monkeypatch, error, message):
-        # raised in place of the allocation, which is never made
+        # raised in place of the draws, which are never made: --n 10^13 would really run
         def refuse(*args):
             raise error
 
-        monkeypatch.setattr(cli, "sample_pl", refuse)
+        monkeypatch.setattr(cli, "_draw_blocks", refuse)
         result = run_cli("sample", "--distance", "20", "--n", "10000000000000")
         assert result.returncode == 1
         assert result.stdout == ""

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +122,24 @@ class TestDegenerateInputs:
             fit_fi([6.0], [85.0])
         with pytest.raises(DegenerateFitError):
             fit_fi([6.0, 6.0], [85.0, 88.0])
+
+    def test_fi_fit_leaves_numpy_ma_unimported(self):
+        # on numpy >= 2.3 np.unique imports numpy.ma (19 ms, 2.4 MiB) in every
+        # FI-fitting process; a fresh interpreter shows whether anything still does
+        code = ("import sys, contextlib, io\n"
+                "from a2a60 import fit_fi\n"
+                "from a2a60.cli import main\n"
+                "fit_fi([6.0, 12.0, 40.0], [85.0, 90.0, 101.0])\n"
+                "print('numpy.ma' in sys.modules)\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['report', '--which', 'table3']) == 0\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "False\nFalse\n"
 
     def test_fit_point_validation(self):
         # each column is checked as a whole, wherever its bad value sits

@@ -282,6 +282,16 @@ class TestValidation:
             pl_3gpp_los(scenario_defaults("umi", 1e308), F, distance)
         assert math.isfinite(pl_3gpp_los(scenario_defaults("umi", 1e308), F, 1.0))
 
+    @pytest.mark.parametrize("distance", [100.0, np.array([6.0, 100.0, 5000.0])])
+    def test_rma_building_height_that_overflows_is_named(self, distance):
+        # h**1.72 overflows a float near 1.65e179 m; the error names the field, not errno 34
+        params = ScenarioParams("rma", 35.0, 1.5, avg_building_height_m=1e200)
+        with pytest.raises(ValueError, match=r"^avg_building_height_m must be <= 1e\+179 m "
+                                             r"\(where h\*\*1\.72 overflows\), got 1e\+200 m$"):
+            pl_3gpp_los(params, F, distance)
+        params = ScenarioParams("rma", 35.0, 1.5, avg_building_height_m=1e179)
+        assert np.all(np.isfinite(pl_3gpp_los(params, F, distance)))
+
 
 class TestArrayDistances:
     # A grid from 1 m to each scenario's limit. Its breakpoints: UMi at 30 m
