@@ -17,8 +17,10 @@ arguments and input files give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv as _csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -41,6 +43,23 @@ REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "not
 
 _BLOCK = 1 << 10  # draws per check and write of `sample`, grid points per evaluation of `compare`
 _MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates
+_MAX_DRAWS = 10 ** 8  # draws `sample` makes, about 1.8 GB of text
+_AHEAD = 4  # odd blocks at the helper at once: slack for when a busy host stalls either side
+# `sample`'s numpy-free helper: each length-prefixed float64 block in, its `_lines`
+# out; a reader thread drains stdin, so neither process waits on the other for good
+# while lines fill the pipe back, whatever the pipe sizes
+_HELPER = """import queue, sys, threading
+i, o, frames = sys.stdin.buffer, sys.stdout.buffer, queue.SimpleQueue()
+def read():
+    while head := i.read(8):
+        frames.put(i.read(int.from_bytes(head, "little")))
+    frames.put(None)
+threading.Thread(target=read, daemon=True).start()
+while (raw := frames.get()) is not None:
+    text = ("\\n".join(map(repr, memoryview(raw).cast("d").tolist())) + "\\n").encode()
+    o.write(len(text).to_bytes(8, "little") + text)
+    o.flush()
+"""
 
 # dispersion note shown wherever a mean-square residual meets a published value
 _MSE_NOTE = "published dispersion values follow the mean-square (dB^2) convention"
@@ -146,7 +165,62 @@ def cmd_compare(args) -> None:
           (row for block in blocks for row in zip(*(column.tolist() for column in block))))
 
 
+def _lines(values) -> str:
+    return "\n".join(map(repr, values.tolist())) + "\n"
+
+
+def _spawn_helper():
+    """(pid, stdin fd, stdout file) of a process running `_HELPER`, or None."""
+    if not (hasattr(os, "posix_spawn") and sys.executable):
+        return None
+    (to_r, to_w), (from_r, from_w) = os.pipe(), os.pipe()
+    try:
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-I", "-S", "-c", _HELPER],
+                             os.environ, file_actions=[
+                                 (os.POSIX_SPAWN_DUP2, to_r, 0), (os.POSIX_SPAWN_DUP2, from_w, 1),
+                                 (os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+    except OSError:
+        pid = None
+    for fd in (to_r, from_w) if pid else (to_r, from_w, to_w, from_r):
+        os.close(fd)
+    return (pid, to_w, open(from_r, "rb")) if pid else None
+
+
+def _send(to, block) -> None:
+    """Write one length-prefixed block of draws to the helper's stdin."""
+    frame = memoryview(block.nbytes.to_bytes(8, "little") + block.tobytes())
+    try:
+        while frame:
+            frame = frame[os.write(to, frame):]
+    except BrokenPipeError:  # the helper is gone, which its missing answer shows
+        pass
+
+
+def _receive(source) -> str:
+    """The lines of the oldest block sent to the helper, read from its stdout."""
+    size = int.from_bytes(source.read(8), "little")
+    text = source.read(size)
+    if not size or len(text) != size:
+        raise OSError("the helper process formatting the draws exited early")
+    return text.decode()
+
+
+def _pairs(blocks, helper):
+    """Each even block of draws, and whether the helper formats the odd block
+    after it; each odd block goes to the helper up to `_AHEAD` pairs early."""
+    pending = collections.deque()
+    for even in blocks:
+        odd = next(blocks, None) if helper else None
+        if odd is not None:
+            _send(helper[1], odd)
+        pending.append((even, odd is not None))
+        if len(pending) == _AHEAD:
+            yield pending.popleft()
+    yield from pending
+
+
 def cmd_sample(args) -> None:
+    _check_finite("--n", args.n, ge=0, le=_MAX_DRAWS)
     pub = published.TABLE1[args.model]
     ple = pub["ple"] if args.ple is None else args.ple
     sigma = pub["sigma"] if args.sigma is None else args.sigma
@@ -156,10 +230,21 @@ def cmd_sample(args) -> None:
         model = FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
                         ple, sigma)
     blocks = _draw_blocks(model, args.distance, args.n, args.seed, _BLOCK)
-    for _ in blocks():  # a first pass checks every draw, so an error leaves stdout empty
-        pass
-    for values in blocks():  # one write per block: memory does not grow with --n
-        sys.stdout.write("\n".join(map(repr, values.tolist())) + "\n")
+    # from 64 blocks on, where it saves more than its start-up costs, a helper
+    # formats every odd block; it starts up during the check pass
+    helper = _spawn_helper() if args.n > 63 * _BLOCK else None
+    try:
+        for _ in blocks():  # a first pass checks every draw, so an error leaves stdout empty
+            pass
+        for even, helped in _pairs(blocks(), helper):  # memory does not grow with --n
+            sys.stdout.writelines((_lines(even), _receive(helper[2]) if helped else ""))
+    finally:
+        if helper:
+            os.close(helper[1]), helper[2].close()
+            try:
+                os.waitpid(helper[0], 0)
+            except ChildProcessError:  # reaped already, by a caller that ignores SIGCHLD
+                pass
 
 
 def _row(section, param, computed, pub, note=""):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -265,6 +266,14 @@ class TestEmit:
         assert out.getvalue() == expected.getvalue() + "\n"
 
 
+def library_lines(model, n, seed):
+    """`sample`'s expected stdout lines: the `repr` of each draw of `sample_pl`."""
+    pub = published.TABLE1[model]
+    law = (CiModel(published.CARRIER_FREQ_GHZ, pub["ple"], pub["sigma"]) if model == "ci"
+           else FiModel(pub["intercept_db"], pub["ple"], pub["sigma"]))
+    return [repr(value) + "\n" for value in sample_pl(law, 20.0, n, seed).tolist()]
+
+
 class TestSampleCommand:
     def test_zero_samples(self, run_cli):
         result = run_cli("sample", "--distance", "20", "--n", "0", "--seed", "1")
@@ -313,13 +322,10 @@ class TestSampleCommand:
     @pytest.mark.parametrize("model", ["ci", "fi"])
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
     def test_lines_are_the_library_draws(self, run_cli, model, n):
-        pub = published.TABLE1[model]
-        law = (CiModel(published.CARRIER_FREQ_GHZ, pub["ple"], pub["sigma"]) if model == "ci"
-               else FiModel(pub["intercept_db"], pub["ple"], pub["sigma"]))
         result = run_cli("sample", "--model", model, "--distance", "20", "--n", str(n),
                          "--seed", "11")
         assert result.returncode == 0
-        assert result.stdout.splitlines() == list(map(repr, sample_pl(law, 20.0, n, 11).tolist()))
+        assert result.stdout.splitlines(keepends=True) == library_lines(model, n, 11)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_peak_memory_does_not_grow_with_n(self):
@@ -349,12 +355,12 @@ class TestSampleCommand:
         (MemoryError(), "MemoryError"),
     ])
     def test_memory_error_is_a_diagnostic(self, run_cli, monkeypatch, error, message):
-        # raised in place of the draws, which are never made: --n 10^13 would really run
+        # raised in place of the draws, which are never made: 10^8 of them would take minutes
         def refuse(*args):
             raise error
 
         monkeypatch.setattr(cli, "_draw_blocks", refuse)
-        result = run_cli("sample", "--distance", "20", "--n", "10000000000000")
+        result = run_cli("sample", "--distance", "20", "--n", "100000000")
         assert result.returncode == 1
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
@@ -363,6 +369,124 @@ class TestSampleCommand:
         result = run_cli("sample", "--distance", "0.5", "--n", "10", "--seed", "1")
         assert result.returncode != 0
         assert "reference distance" in result.stderr
+
+    @pytest.mark.parametrize("n", ["-1", "100000001", "10000000000000"])
+    def test_n_is_checked_before_anything_is_drawn(self, run_cli, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(cli, "_draw_blocks", refuse)
+        result = run_cli("sample", "--distance", "20", "--n", n)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: --n must be >= 0 and <= 100000000, got {n}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="the helper needs posix_spawn")
+class TestSampleHelper:
+    """From 64 blocks of 1024 draws on, a helper interpreter formats every odd block."""
+
+    @pytest.fixture
+    def spawns(self, monkeypatch):
+        """The argv of every process `sample` spawns."""
+        calls, spawn = [], os.posix_spawn
+
+        def counted(path, argv, *args, **kwargs):
+            calls.append(argv)
+            return spawn(path, argv, *args, **kwargs)
+
+        monkeypatch.setattr(os, "posix_spawn", counted)
+        return calls
+
+    @pytest.mark.parametrize("model", ["ci", "fi"])
+    @pytest.mark.parametrize("n", [64 * 1024 - 1, 64 * 1024, 64 * 1024 + 1, 64 * 1024 + 1025])
+    def test_lines_are_the_library_draws(self, run_cli, spawns, model, n):
+        result = run_cli("sample", "--model", model, "--distance", "20", "--n", str(n),
+                         "--seed", "11")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines(keepends=True) == library_lines(model, n, 11)
+        assert len(spawns) == 1 and spawns[0][1:4] == ["-I", "-S", "-c"]
+
+    @pytest.mark.parametrize("n, helpers", [(1000, 0), (63 * 1024, 0), (63 * 1024 + 1, 1)])
+    def test_starts_from_64_blocks(self, run_cli, spawns, n, helpers):
+        result = run_cli("sample", "--distance", "20", "--n", str(n), "--seed", "3")
+        assert result.stdout.splitlines(keepends=True) == library_lines("ci", n, 3)
+        assert len(spawns) == helpers
+
+    def test_falls_back_to_formatting_in_process(self, run_cli, monkeypatch):
+        args = ("sample", "--distance", "20", "--n", str(64 * 1024 + 1025), "--seed", "5")
+        expected = run_cli(*args)
+
+        def fail(*args, **kwargs):
+            raise OSError("no spawn")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "executable", "")
+            assert run_cli(*args) == expected
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "posix_spawn", fail)
+            assert run_cli(*args) == expected
+        with monkeypatch.context() as patch:
+            patch.delattr(os, "posix_spawn")
+            assert run_cli(*args) == expected
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_helper_that_exits_early_is_a_diagnostic(self, run_cli, monkeypatch, spawns):
+        monkeypatch.setattr(cli, "_HELPER", "import os; os._exit(3)")
+        result = run_cli("sample", "--distance", "20", "--n", "100000", "--seed", "1")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: the helper process formatting the draws exited early\n"
+        assert len(spawns) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_broken_stdout_reaps_the_helper(self, capsys, monkeypatch, spawns):
+        class BrokenStdout(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        assert main(["sample", "--distance", "20", "--n", "100000", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert len(spawns) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_runs_where_sigchld_is_ignored(self, run_cli, spawns):
+        # the kernel then reaps the helper itself, and waitpid finds no child
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            result = run_cli("sample", "--distance", "20", "--n", "70000", "--seed", "4")
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines(keepends=True) == library_lines("ci", 70000, 4)
+        assert len(spawns) == 1
+
+    def test_one_page_pipes_do_not_deadlock(self):
+        # a frame of draws (8 KiB) and of lines (about 18 KiB) each overfill such a
+        # pipe, and `sample` keeps several blocks at the helper at once
+        fcntl = pytest.importorskip("fcntl")
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("needs F_SETPIPE_SZ")
+        code = ("import fcntl, os, sys\n"
+                "pipe = os.pipe\n"
+                "def one_page_pipe():\n"
+                "    fds = pipe()\n"
+                "    fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, 4096)\n"
+                "    return fds\n"
+                "os.pipe = one_page_pipe\n"
+                "from a2a60.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-c", code, "sample", "--distance", "20", "--n", "100000",
+             "--seed", "8"],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines(keepends=True) == library_lines("ci", 100000, 8)
 
 
 class TestReportCommand:
