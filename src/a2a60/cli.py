@@ -36,12 +36,12 @@ from .dataset import (
 )
 from .fitting import fit_ci, fit_fi
 from .pathloss import CiModel, FiModel, _check_finite, _draw_blocks, free_space_pl, mean_pl
-from .tr38901 import SCENARIOS, pl_3gpp_los, scenario_defaults
+from .tr38901 import DEFAULT_OXYGEN_ALPHA_DB_PER_KM, SCENARIOS, pl_3gpp_los, scenario_defaults
 
 FORMATS = ("csv", "json", "markdown-table")
 REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "note")
 
-_BLOCK = 1 << 10  # draws per check and write of `sample`, grid points per evaluation of `compare`
+_BLOCK = 1 << 10  # draws per check and write of `sample`, `compare` rows per evaluation and write
 _MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates
 _MAX_DRAWS = 10 ** 8  # draws `sample` makes, about 1.8 GB of text
 _AHEAD = 4  # odd blocks at the helper at once: slack for when a busy host stalls either side
@@ -146,11 +146,14 @@ def _parse_distances(spec: str) -> tuple[float, float, int]:
 def cmd_compare(args) -> None:
     start, step, last = _parse_distances(args.distances)
     ci = fit_ci(*to_fit_points(_read_points(args)), args.freq_ghz).model
-    references = [scenario_defaults(name) for name in SCENARIOS]
+    oxygen = (DEFAULT_OXYGEN_ALPHA_DB_PER_KM if args.oxygen_db_per_km is None
+              else args.oxygen_db_per_km)
+    _check_finite("--oxygen-db-per-km", oxygen, ge=0.0)
+    references = [scenario_defaults(name, oxygen) for name in SCENARIOS]
 
     def columns(d):
-        return (d, mean_pl(ci, d), *(pl_3gpp_los(ref, args.freq_ghz, d) for ref in references),
-                free_space_pl(args.freq_ghz, d))
+        return np.array((d, mean_pl(ci, d), *(pl_3gpp_los(r, args.freq_ghz, d) for r in references),
+                         free_space_pl(args.freq_ghz, d)))
 
     # each column's valid distances form an interval: if the grid's two ends
     # pass, every point does, so no row of an out-of-range grid is written
@@ -159,14 +162,25 @@ def cmd_compare(args) -> None:
         _check_finite("grid point count", last + 1, le=_MAX_GRID_POINTS)
     except ValueError as exc:
         raise ValueError(f"invalid --distances {args.distances!r}: {exc}") from None
+    # the default is a 57-64 GHz figure; a carrier outside 0.5-100 GHz failed above
+    if args.oxygen_db_per_km is None and not 57.0 <= args.freq_ghz <= 64.0:
+        raise ValueError(f"--oxygen-db-per-km is required at --freq-ghz {args.freq_ghz}: the "
+                         f"default {DEFAULT_OXYGEN_ALPHA_DB_PER_KM} dB/km holds for 57-64 GHz")
+    header = ("distance_m", "ci_fit", *SCENARIOS, "fspl")
     blocks = (columns(start + np.arange(i, min(i + _BLOCK, last + 1)) * step)
               for i in range(0, last + 1, _BLOCK))  # the same floats as start + i * step
-    _emit(args.format, ("distance_m", "ci_fit", *SCENARIOS, "fspl"),
-          (row for block in blocks for row in zip(*(column.tolist() for column in block))))
+    if args.format == "csv":  # float cells only, which csv.writer would not quote
+        sys.stdout.write(",".join(header) + "\n")
+        sys.stdout.writelines(map(_lines, blocks))
+    else:
+        _emit(args.format, header, (row for block in blocks for row in zip(*block.tolist())))
 
 
-def _lines(values) -> str:
-    return "\n".join(map(repr, values.tolist())) + "\n"
+def _lines(block) -> str:
+    """One line per value of a float column, or per row of a 2-D block of float columns."""
+    if block.ndim == 2:
+        return "\n".join(map(",".join, zip(*(map(repr, c) for c in block.tolist())))) + "\n"
+    return "\n".join(map(repr, block.tolist())) + "\n"
 
 
 def _spawn_helper():
@@ -382,6 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="tabulate fitted, reference and free-space losses")
     compare.add_argument("--distances", default="6:40:2",
                          help="distance grid START:STOP:STEP in meters")
+    compare.add_argument("--oxygen-db-per-km", type=float, default=None,
+                         help="oxygen absorption of the references (default: 15 in 57-64 GHz)")
     compare.set_defaults(func=cmd_compare)
 
     sample = subs.add_parser("sample", parents=[carrier],

@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from a2a60 import (
@@ -80,6 +81,29 @@ def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     header, body = rows[0], rows[1:]
     return [dict(zip(header, row)) for row in body]
+
+
+def csv_text(rows):
+    """What `csv.writer` writes of `rows`, each float cell as its `repr`."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return out.getvalue()
+
+
+def peak_kib(*args):
+    """The peak RSS of a subprocess running `main(args)`, in KiB, read as VmHWM:
+    unlike ru_maxrss, which a child inherits from the test process's own peak
+    across fork and exec, it starts afresh at exec."""
+    code = ("import sys\n"
+            "from a2a60.cli import main\n"
+            "main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr)\n")
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", code, *args], stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
+    return int(result.stderr)
 
 
 class TestFitCommand:
@@ -216,7 +240,8 @@ class TestCompareCommand:
     def test_rows_match_the_scalar_laws_past_their_breakpoints(self, run_cli):
         # at 0.5 GHz UMi breaks at 30 m, UMa at 80 m: each column, evaluated a
         # block of distances at a time, equals the law at each distance
-        rows = parse_csv(run_cli("compare", "--distances", "1:150:0.25", "--freq-ghz", "0.5").stdout)
+        rows = parse_csv(run_cli("compare", "--distances", "1:150:0.25", "--freq-ghz", "0.5",
+                                 "--oxygen-db-per-km", "15").stdout)
         ci = cli.fit_ci(*cli.to_fit_points(cli.load_measurement_points()), 0.5).model
         assert len(rows) == 597
         for row in rows:
@@ -248,6 +273,73 @@ class TestCompareCommand:
             for key in c_row:
                 assert math.isclose(float(c_row[key]), j_row[key], rel_tol=1e-10)
 
+    @pytest.mark.parametrize("carrier", [(), ("--freq-ghz", "0.5", "--oxygen-db-per-km", "0")],
+                             ids=["60.48GHz", "0.5GHz"])
+    @pytest.mark.parametrize("spec, count", [("6:6:1", 1), ("1:64.9375:0.0625", 1024),
+                                             ("1:65:0.0625", 1025), ("1:129:0.0625", 2049)])
+    def test_csv_is_what_csv_writer_writes_of_the_laws(self, run_cli, carrier, spec, count):
+        # grids of one row and across the 1024-row block boundaries
+        freq = float(carrier[1]) if carrier else published.CARRIER_FREQ_GHZ
+        ci = cli.fit_ci(*cli.to_fit_points(cli.load_measurement_points()), freq).model
+        references = [scenario_defaults(name, 0.0 if carrier else 15.0) for name in SCENARIOS]
+        start, _, step = map(float, spec.split(":"))
+        distances = [start + i * step for i in range(count)]
+        expected = csv_text([("distance_m", "ci_fit", *SCENARIOS, "fspl")] + [
+            (d, mean_pl(ci, d), *(pl_3gpp_los(ref, freq, d) for ref in references),
+             free_space_pl(freq, d)) for d in distances])
+        assert run_cli("compare", "--distances", spec, *carrier) == (0, expected, "")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # 14,901 and 99,334 rows: 1.8 and 11.9 MB of csv, written a block at a time
+        def peak(spec):
+            return peak_kib("compare", "--distances", spec)
+
+        assert peak("1:150:0.0015") - peak("1:150:0.01") <= 1024
+
+    @pytest.mark.parametrize("freq", ["57", "64"])
+    def test_oxygen_default_holds_from_57_to_64_ghz(self, run_cli, freq):
+        result = run_cli("compare", "--freq-ghz", freq)
+        assert result == run_cli("compare", "--freq-ghz", freq, "--oxygen-db-per-km", "15")
+        assert result.returncode == 0 and len(parse_csv(result.stdout)) == 18
+
+    @pytest.mark.parametrize("freq", ["0.5", "56.99", "64.01", "100"])
+    def test_oxygen_flag_is_required_outside_57_to_64_ghz(self, run_cli, freq):
+        assert run_cli("compare", "--freq-ghz", freq) == (
+            1, "", f"error: --oxygen-db-per-km is required at --freq-ghz {float(freq)}: "
+                   "the default 15.0 dB/km holds for 57-64 GHz\n")
+        assert run_cli("compare", "--freq-ghz", freq, "--oxygen-db-per-km", "0").returncode == 0
+
+    @pytest.mark.parametrize("value, message", [("-1", "must be >= 0, got -1.0"),
+                                                ("nan", "must be finite, got nan"),
+                                                ("inf", "must be finite, got inf")])
+    def test_oxygen_flag_is_checked(self, run_cli, value, message):
+        assert run_cli("compare", "--oxygen-db-per-km", value) == (
+            1, "", f"error: --oxygen-db-per-km {message}\n")
+
+
+class TestLines:
+    """`_lines`, the one float-block writer of `compare`'s csv and of `sample`."""
+
+    SPECIAL = [-0.0, 5e-324, 1e308, 0.1 + 0.2, math.inf, -math.inf, math.nan]
+
+    @pytest.mark.parametrize("count", [1, 1024])
+    def test_block_rows_are_what_csv_writer_writes(self, count):
+        rng = np.random.default_rng(count)
+        block = rng.standard_normal((7, count)) * 10.0 ** rng.integers(-300, 300, (7, count))
+        block[:, 0] = self.SPECIAL
+        block[:, -1] = self.SPECIAL[::-1]
+        assert cli._lines(block) == csv_text(block.T.tolist())
+
+    def test_one_column_block_is_the_column(self):
+        column = np.array(self.SPECIAL)
+        assert cli._lines(column[None, :]) == cli._lines(column) == csv_text(
+            [value] for value in self.SPECIAL)
+
+    @pytest.mark.parametrize("model", ["ci", "fi"])
+    def test_column_lines_are_the_library_lines(self, model):
+        assert cli._lines(library_draws(model, 1024, 9)) == "".join(library_lines(model, 1024, 9))
+
 
 class TestEmit:
     COLUMNS = ("x", "label", "note")
@@ -266,12 +358,17 @@ class TestEmit:
         assert out.getvalue() == expected.getvalue() + "\n"
 
 
-def library_lines(model, n, seed):
-    """`sample`'s expected stdout lines: the `repr` of each draw of `sample_pl`."""
+def library_draws(model, n, seed):
+    """`sample_pl`'s draws of the published law at 20 m."""
     pub = published.TABLE1[model]
     law = (CiModel(published.CARRIER_FREQ_GHZ, pub["ple"], pub["sigma"]) if model == "ci"
            else FiModel(pub["intercept_db"], pub["ple"], pub["sigma"]))
-    return [repr(value) + "\n" for value in sample_pl(law, 20.0, n, seed).tolist()]
+    return sample_pl(law, 20.0, n, seed)
+
+
+def library_lines(model, n, seed):
+    """`sample`'s expected stdout lines: the `repr` of each draw of `sample_pl`."""
+    return [repr(value) + "\n" for value in library_draws(model, n, seed).tolist()]
 
 
 class TestSampleCommand:
@@ -329,23 +426,10 @@ class TestSampleCommand:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_peak_memory_does_not_grow_with_n(self):
-        # VmHWM, unlike ru_maxrss, starts afresh at exec: the test process's own
-        # peak does not leak into the child's
-        code = ("import sys\n"
-                "from a2a60.cli import main\n"
-                "main(sys.argv[1:])\n"
-                "status = open('/proc/self/status').read()\n"
-                "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr)\n")
-        path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+        def peak(n):
+            return peak_kib("sample", "--distance", "20", "--n", str(n))
 
-        def peak_kib(n):
-            result = subprocess.run(
-                [sys.executable, "-c", code, "sample", "--distance", "20", "--n", str(n)],
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                env=dict(os.environ, PYTHONPATH=path))
-            return int(result.stderr)
-
-        assert peak_kib(300_000) - peak_kib(1000) <= 1024
+        assert peak(300_000) - peak(1000) <= 1024
 
     @pytest.mark.parametrize("error, message", [
         (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
