@@ -239,6 +239,8 @@ def cmd_sample(args) -> None:
     ple = pub["ple"] if args.ple is None else args.ple
     sigma = pub["sigma"] if args.sigma is None else args.sigma
     if args.model == "ci":
+        if args.intercept is not None:  # the ci model's intercept is the 1 m Friis loss
+            raise ValueError("--intercept needs --model fi")
         model = CiModel(args.freq_ghz, ple, sigma)
     else:
         model = FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,

@@ -24,7 +24,6 @@ import csv
 import math
 import os
 from contextlib import nullcontext
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +45,7 @@ _RAW_DTYPE = np.dtype([(name, "i8" if name.endswith("_idx") else "f8") for name 
 # rank 0 marks the best pair: valid ranks start at 1
 _AGGREGATED_DTYPE = np.dtype([(name, "i8" if name == "rank" else "f8")
                               for name in AGGREGATED_COLUMNS])
+_CURVE_DTYPE = np.dtype([(name, object if name == "curve" else "f8") for name in CURVE_COLUMNS])
 # the points an int64 key of aggregate_trials tells apart, at one value per trial of a pair
 _MAX_POINTS = ((1 << 63) - 1) // math.prod(_FIELD_RANGES[n]["le"] + 1 for n in RAW_COLUMNS[2:5])
 _BULK_CHUNK = 1 << 20  # characters of raw rows per np.loadtxt call
@@ -54,7 +54,7 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class CsvFormatError(ValueError):
-    """Malformed measurement CSV; the message cites the row and column."""
+    """Malformed CSV; the message cites the row and column, or says the text is not UTF-8."""
 
 
 class EmptySelectionError(ValueError):
@@ -80,21 +80,16 @@ def _rank(text: str) -> int:
     return rank
 
 
-def _curves(rows, _) -> dict[str, list[tuple[float, float]]]:
-    """Reference-curve rows as {curve: [(distance_m, path_loss_db), ...]}."""
-    curves: dict[str, list[tuple[float, float]]] = {}
-    for curve, distance_m, path_loss_db in rows:
-        _check_fields((("distance_m", distance_m), ("path_loss_db", path_loss_db)))
-        curves.setdefault(curve, []).append((distance_m, path_loss_db))
-    return curves
-
-
 def _table(rows, blank, dtype) -> np.ndarray:
     """The rows as one structured array of `dtype`; if a column is out of range,
     the first row out of range is found and cited. Ranks were checked as they
-    were read (`_rank`)."""
-    table = np.fromiter(rows, dtype)
-    names = [name for name in dtype.names if name != "rank"]
+    were read (`_rank`); curve names have no range. `rows` is a `_converted`
+    generator, which names the row of an index numpy cannot hold."""
+    try:
+        table = np.fromiter(rows, dtype)
+    except OverflowError as exc:  # an index past 64 bits, in the row `rows` last yielded
+        rows.throw(exc)
+    names = [name for name in dtype.names if name not in ("rank", "curve")]
     try:
         _check_fields((name, table[name]) for name in names)
     except ValueError:
@@ -155,16 +150,16 @@ def _position(stream):
         return None
 
 
-# header -> (one text converter per column, build(converted rows, numbers of the blank rows))
+# header -> (one text converter per column, the table's dtype)
 _MEASUREMENT_SCHEMAS = {
-    RAW_COLUMNS: ((float, float, int, int, int, float), partial(_table, dtype=_RAW_DTYPE)),
-    AGGREGATED_COLUMNS: ((float, float, _rank, float), partial(_table, dtype=_AGGREGATED_DTYPE)),
+    RAW_COLUMNS: ((float, float, int, int, int, float), _RAW_DTYPE),
+    AGGREGATED_COLUMNS: ((float, float, _rank, float), _AGGREGATED_DTYPE),
 }
-_CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _curves)}
+_CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _CURVE_DTYPE)}
 
 
-def _read(source, schemas):
-    """Build the result of a CSV whose header is one of `schemas` from its
+def _read(source, schemas) -> np.ndarray:
+    """The table of a CSV whose header is one of `schemas`, built from its
     non-blank rows, converted as they stream in. `source` is a path or an open
     stream. Every conversion or range error becomes a CsvFormatError naming the row.
 
@@ -173,20 +168,10 @@ def _read(source, schemas):
     reads it or locates and reports the error.
     """
     if not hasattr(source, "read"):
-        with open(source, newline="", encoding="utf-8") as handle:
+        with open(source, newline="", encoding="utf-8-sig") as handle:
             return _read(handle, schemas)
     start = _position(source) if _BULK_PARSE else None
     rows = csv.reader(source)
-    row_num, row, blank = 1, [], []  # the row being converted; the blank rows skipped
-
-    def converted():
-        nonlocal row_num, row
-        for row_num, row in enumerate(rows, start=2):
-            if row:
-                yield tuple([convert(text) for convert, text in zip(converters, row, strict=True)])
-            else:
-                blank.append(row_num)
-
     try:
         header = tuple(next(rows, ()))
         if not header:
@@ -196,7 +181,7 @@ def _read(source, schemas):
             raise CsvFormatError(
                 f"unrecognized header {list(header)}; missing columns: {sorted(missing)}"
             )
-        converters, build = schemas[header]
+        converters, dtype = schemas[header]
         if header == RAW_COLUMNS and start is not None:
             try:
                 return _bulk_raw_table(source)
@@ -204,20 +189,31 @@ def _read(source, schemas):
                 source.seek(start)
                 rows = csv.reader(source)
                 next(rows)
-        return build(converted(), blank)
+        blank = []  # the numbers of the blank rows skipped
+        return _table(_converted(rows, header, converters, blank), blank, dtype)
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise CsvFormatError(f"row {rows.line_num}: {exc}") from None
-    except CsvFormatError:
-        raise
-    except (ValueError, OverflowError) as exc:  # a curve row's own check names its field;
-        # a converter's error, or a raw index past numpy's 64 bits, needs the column
-        raise CsvFormatError(f"row {row_num}: {_unconvertible(header, converters, row) or exc}"
-                             ) from None
+    except UnicodeDecodeError as exc:  # decoded in blocks, ahead of the rows: no row to cite
+        raise CsvFormatError(f"not UTF-8 text: {exc.reason}") from None
+
+
+def _converted(rows, header, converters, blank):
+    """The non-blank rows, each as a tuple of its converted cells; a row that
+    does not convert, or whose OverflowError `_table` throws back in, is a
+    CsvFormatError naming it. Blank rows are numbered in `blank`."""
+    for row_num, row in enumerate(rows, start=2):
+        if not row:
+            blank.append(row_num)
+            continue
+        try:  # index cells convert by plain int: numpy's OverflowError bounds them at no cost per cell
+            yield tuple([convert(text) for convert, text in zip(converters, row, strict=True)])
+        except (ValueError, OverflowError):
+            raise CsvFormatError(f"row {row_num}: {_unconvertible(header, converters, row)}") from None
 
 
 def _unconvertible(header, converters, row) -> str:
-    """Why `row` fails to convert: its width, or its first column that does not
-    convert or, as a raw index, overflows numpy's 64 bits; "" if it converts."""
+    """Why `row` fails: its width, or its first column that does not convert
+    or, as a raw index, overflows numpy's 64 bits."""
     if len(row) != len(header):
         return f"expected {len(header)} fields {list(header)}, got {len(row)}"
     for column, convert, text in zip(header, converters, row):
@@ -227,7 +223,6 @@ def _unconvertible(header, converters, row) -> str:
             return f"column {column}: {exc}"
         if column.endswith("_idx") and not -(1 << 63) <= value < 1 << 63:
             return f"column {column}: {text} exceeds 64 bits"
-    return ""
 
 
 def load_csv(source) -> np.ndarray:
@@ -321,7 +316,7 @@ def fixture_path(name: str):
 
 
 def _open_fixture(name: str):
-    return fixture_path(name).open("r", newline="", encoding="utf-8")
+    return fixture_path(name).open("r", newline="", encoding="utf-8-sig")
 
 
 def load_measurement_points(name: str = MEASUREMENTS_FILE) -> np.ndarray:
@@ -345,4 +340,8 @@ def load_rank_points(rank: int) -> np.ndarray:
 def load_reference_curves(name: str = REFERENCE_CURVES_FILE) -> dict[str, list[tuple[float, float]]]:
     """Bundled reference curves as {curve: [(distance_m, path_loss_db), ...]}."""
     with _open_fixture(name) as handle:
-        return _read(handle, _CURVE_SCHEMAS)
+        table = _read(handle, _CURVE_SCHEMAS)
+    curves: dict[str, list[tuple[float, float]]] = {}
+    for curve, distance_m, path_loss_db in table.tolist():
+        curves.setdefault(curve, []).append((distance_m, path_loss_db))
+    return curves

@@ -42,3 +42,16 @@ def height_curves():
 @pytest.fixture(scope="session")
 def rank_curves():
     return {int(k): v for k, v in load_curve_fixture("fig7_rank_curves.csv", "rank").items()}
+
+
+@pytest.fixture(scope="session")
+def with_bad_byte():
+    """A builder of CSV bytes: `header` then `rows` copies of `row`, as UTF-8
+    with 0xff at the start of CSV row `at_row` (row 1 is the header)."""
+    def build(header, row, at_row, rows=3000):
+        lines = [header] + [row] * rows
+        data = "".join(lines).encode()
+        offset = len("".join(lines[:at_row - 1]))
+        return data[:offset] + b"\xff" + data[offset:]
+
+    return build

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -27,7 +28,7 @@ from a2a60 import (
     scenario_defaults,
 )
 from a2a60.cli import main
-from a2a60.dataset import RAW_COLUMNS
+from a2a60.dataset import MEASUREMENTS_FILE, RAW_COLUMNS, fixture_path
 from a2a60.tr38901 import SCENARIOS
 
 REPO = Path(__file__).resolve().parents[1]
@@ -454,6 +455,15 @@ class TestSampleCommand:
         assert result.returncode != 0
         assert "reference distance" in result.stderr
 
+    @pytest.mark.parametrize("model", [(), ("--model", "ci")])
+    def test_intercept_needs_the_fi_model(self, run_cli, monkeypatch, model):
+        def refuse(*args):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(cli, "_draw_blocks", refuse)
+        result = run_cli("sample", "--distance", "20", "--n", "3", *model, "--intercept", "5")
+        assert result == (1, "", "error: --intercept needs --model fi\n")
+
     @pytest.mark.parametrize("n", ["-1", "100000001", "10000000000000"])
     def test_n_is_checked_before_anything_is_drawn(self, run_cli, monkeypatch, n):
         def refuse(*args):
@@ -701,6 +711,32 @@ class TestMalformedCsv:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert "row 2" in result.stderr
+
+    INPUT_COMMANDS = [("fit", "--model", "ci"), ("compare",), ("report", "--which", "table3")]
+    NOT_UTF8 = (1, "", "error: not UTF-8 text: invalid start byte\n")
+
+    @pytest.mark.parametrize("args", INPUT_COMMANDS)
+    @pytest.mark.parametrize("at_row", [1, 200, 2002])
+    def test_non_utf8_input_is_one_error_line(self, run_cli, tmp_path, with_bad_byte, args,
+                                              at_row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(with_bad_byte("distance_m,height_m,rank,path_loss_db\n", "6,12,,85.5\n",
+                                       at_row))
+        assert run_cli(*args, "--input", str(path)) == self.NOT_UTF8
+
+    def test_non_utf8_byte_process_has_no_traceback(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\n")
+        for args in self.INPUT_COMMANDS:
+            result = run_cli_process(*args, "--input", str(path))
+            assert (result.returncode, result.stdout, result.stderr) == self.NOT_UTF8
+
+    def test_byte_order_mark_is_accepted(self, run_cli, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(codecs.BOM_UTF8 + fixture_path(MEASUREMENTS_FILE).read_bytes())
+        result = run_cli("fit", "--model", "ci", "--input", str(path))
+        assert result == run_cli("fit", "--model", "ci")
+        assert result.returncode == 0
 
 
 class TestGoldenOutput:

@@ -1,7 +1,9 @@
+import codecs
 import dataclasses
 import io
 import math
 import random
+import re
 import shutil
 import tempfile
 import warnings
@@ -35,6 +37,8 @@ from a2a60.dataset import (
 )
 
 RAW_HEADER = "distance_m,height_m,tx_beam_idx,rx_beam_idx,trial_idx,path_loss_db\n"
+AGGREGATED_HEADER = "distance_m,height_m,rank,path_loss_db\n"
+CURVE_HEADER = "curve,distance_m,path_loss_db\n"
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -44,6 +48,13 @@ def raw_csv(*rows):
 
 class UnseekableStream(io.StringIO):
     """A stream the bulk parse cannot rewind, so it is always read row by row."""
+
+    def seekable(self):
+        return False
+
+
+class UnseekableBytes(io.BytesIO):
+    """Bytes under a text stream that cannot seek, so it decodes as it is read."""
 
     def seekable(self):
         return False
@@ -136,6 +147,29 @@ class TestBundledFixtures:
         with pytest.raises(CsvFormatError, match="row 4: distance_m must be finite"):
             load_reference_curves()
 
+    def test_reference_curve_row_that_does_not_convert_comes_first(self, tmp_path, monkeypatch):
+        # as in the measurement schemas, every row converts before any range is
+        # checked, so row 5 is reported over the range error on row 4
+        (tmp_path / REFERENCE_CURVES_FILE).write_text(
+            CURVE_HEADER + "umi,6,84.5\n\numi,nan,85.0\numa,6,abc\n"
+        )
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        with pytest.raises(CsvFormatError,
+                           match="^row 5: column path_loss_db: could not convert string"):
+            load_reference_curves()
+        (tmp_path / REFERENCE_CURVES_FILE).write_text(CURVE_HEADER + "umi,6\n")
+        with pytest.raises(CsvFormatError, match=r"^row 2: expected 3 fields \['curve', "):
+            load_reference_curves()
+
+    def test_reference_curves_group_by_name_in_file_order(self, tmp_path, monkeypatch):
+        (tmp_path / REFERENCE_CURVES_FILE).write_text(
+            CURVE_HEADER + "umi,6,84.5\nfspl,1,68\n\numi,9.25,87\n"
+        )
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        curves = load_reference_curves()
+        assert curves == {"umi": [(6.0, 84.5), (9.25, 87.0)], "fspl": [(1.0, 68.0)]}
+        assert {type(v) for points in curves.values() for point in points for v in point} == {float}
+
 
 class TestLoadRawCsv:
     def test_well_formed_rows(self):
@@ -190,6 +224,19 @@ class TestLoadRawCsv:
         with pytest.raises(CsvFormatError,
                            match=r"row 2: column rx_beam_idx: 9{30} exceeds 64 bits"):
             load_csv(raw_csv("6,12,0," + "9" * 30 + ",0,90.0"))
+
+    @pytest.mark.parametrize("index, fits", [
+        (str((1 << 63) - 1), True), (str(-(1 << 63)), True),
+        (str(1 << 63), False), (str(-(1 << 63) - 1), False),
+    ])
+    def test_index_bounds_in_the_row_loop(self, index, fits):
+        # numpy holds an index that fits 64 bits, so the later row that does not
+        # convert is reported before any range; one that does not fit stops the read
+        text = RAW_HEADER + f"6,12,0,0,0,90.0\n\n6,12,0,0,{index},90.0\n6,12,0,0,0,abc\n"
+        expected = ("row 5: column path_loss_db: could not convert" if fits
+                    else f"row 4: column trial_idx: {index} exceeds 64 bits")
+        with pytest.raises(CsvFormatError, match="^" + re.escape(expected)):
+            load_csv(UnseekableStream(text))
 
     @pytest.mark.parametrize("bad, message", [
         ("6,12,20,0,0,90.0", r"tx_beam_idx must be >= 0 and <= 19 \(the 20 x 20 scan window\)"),
@@ -301,6 +348,56 @@ class TestBulkParse:
         for table in tables:
             assert len(table) == 0
             assert table.dtype == dataset._RAW_DTYPE
+
+
+class TestTextEncoding:
+    """Files are UTF-8, with or without a byte-order mark. Text is decoded in
+    blocks, ahead of the rows, so a byte that is not UTF-8 is reported as
+    such, with no row, wherever it lies: at the start, inside the first 8 KiB
+    or past them."""
+
+    @pytest.mark.parametrize("at_row", [1, 200, 2002])
+    @pytest.mark.parametrize("header, row", [(RAW_HEADER, "6,12,0,0,0,90.0\n"),
+                                             (AGGREGATED_HEADER, "6,12,,85.5\n")],
+                             ids=["raw", "aggregated"])
+    def test_measurements_not_utf8(self, tmp_path, with_bad_byte, header, row, at_row):
+        data = with_bad_byte(header, row, at_row)
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        stream = io.TextIOWrapper(UnseekableBytes(data), encoding="utf-8", newline="")
+        for source in (path, stream):
+            with pytest.raises(CsvFormatError, match="^not UTF-8 text: invalid start byte$"):
+                load_csv(source)
+
+    @pytest.mark.parametrize("at_row", [1, 200, 2002])
+    def test_reference_curves_not_utf8(self, tmp_path, monkeypatch, with_bad_byte, at_row):
+        (tmp_path / REFERENCE_CURVES_FILE).write_bytes(
+            with_bad_byte(CURVE_HEADER, "umi,6,84.5\n", at_row))
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        with pytest.raises(CsvFormatError, match="^not UTF-8 text: invalid start byte$"):
+            load_reference_curves()
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch):
+        text = fixture_path(MEASUREMENTS_FILE).read_text(encoding="utf-8")
+        (tmp_path / MEASUREMENTS_FILE).write_bytes(codecs.BOM_UTF8 + text.encode())
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        expected = load_csv(io.StringIO(text)).tolist()
+        assert load_csv(tmp_path / MEASUREMENTS_FILE).tolist() == expected
+        assert load_measurement_points().tolist() == expected
+
+    def test_byte_order_mark_before_a_raw_row_out_of_range(self, tmp_path):
+        # the bulk parse fails, and the file is read again row by row from its
+        # start, past the mark once more
+        path = tmp_path / "raw.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (
+            RAW_HEADER + "6,12,0,0,0,90.0\n6,12,0,0,1,90.0\n6,12,0,20,0,90.0\n").encode())
+        with pytest.raises(CsvFormatError, match=r"^row 4: rx_beam_idx must be >= 0 and <= 19"):
+            load_csv(path)
+
+    def test_stream_text_is_read_as_given(self):
+        # only the files the reader opens are decoded; a stream's mark stays in its header
+        with pytest.raises(CsvFormatError, match=r"^unrecognized header \['\\ufeffdistance_m'"):
+            load_csv(io.StringIO("\ufeff" + AGGREGATED_HEADER + "6,12,,85.5\n"))
 
 
 class TestRecordValidation:
