@@ -35,11 +35,9 @@ _FIELD_RANGES = {
 
 
 def _check_fields(items) -> None:
-    """Check each (field, value or column) of a measurement against the field's
-    range; None (the rank of a best-pair point) has none."""
+    """Check each (field, value or column) of a measurement against the field's range."""
     for name, value in items:
-        if value is not None:
-            _check_finite(name, value, **_FIELD_RANGES[name])
+        _check_finite(name, value, **_FIELD_RANGES[name])
 
 
 @dataclass(frozen=True)

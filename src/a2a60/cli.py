@@ -391,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--model", choices=("ci", "fi"), required=True)
     fit.add_argument("--height", default="all", help='height filter in meters, or "all"')
     fit.add_argument("--rank", default="all",
-                     help='beam-pair rank filter, "none" for best pair, or "all"')
+                     help='beam-pair rank filter: 1-400 ("1" or "none": the best pair) or "all"')
     fit.set_defaults(func=cmd_fit)
 
     compare = subs.add_parser("compare", parents=[table],

@@ -7,8 +7,8 @@ only to locate an error or read text that numpy's parser does not):
 
     distance_m,height_m,tx_beam_idx,rx_beam_idx,trial_idx,path_loss_db
 
-and aggregated per-point path loss (rank empty for best-beam data, which
-the table holds as rank 0):
+and aggregated per-point path loss (rank empty or 1 for best-beam data,
+which the table holds as rank 1):
 
     distance_m,height_m,rank,path_loss_db
 
@@ -42,7 +42,6 @@ MEASUREMENTS_FILE = "fig2_measurements.csv"
 RANK_FILES = {2: "fig6_rank2.csv", 3: "fig6_rank3.csv", 9: "fig6_rank9.csv"}
 REFERENCE_CURVES_FILE = "fig5_reference_curves.csv"
 _RAW_DTYPE = np.dtype([(name, "i8" if name.endswith("_idx") else "f8") for name in RAW_COLUMNS])
-# rank 0 marks the best pair: valid ranks start at 1
 _AGGREGATED_DTYPE = np.dtype([(name, "i8" if name == "rank" else "f8")
                               for name in AGGREGATED_COLUMNS])
 _CURVE_DTYPE = np.dtype([(name, object if name == "curve" else "f8") for name in CURVE_COLUMNS])
@@ -64,32 +63,28 @@ class EmptySelectionError(ValueError):
 def AggregatedPoint(distance_m: float, height_m: float, path_loss_db: float,
                     rank: int | None = None) -> tuple:
     """One checked row of an aggregated table, in its column order: the trial-averaged
-    path loss at one (distance, height) of beam-pair `rank`, None (the best pair) held as 0."""
+    path loss at one (distance, height) of beam-pair `rank`, None (the best pair) held as 1."""
+    rank = 1 if rank is None else rank
     _check_fields((("distance_m", distance_m), ("height_m", height_m),
                    ("path_loss_db", path_loss_db), ("rank", rank)))
-    return (distance_m, height_m, 0 if rank is None else rank, path_loss_db)
+    return (distance_m, height_m, rank, path_loss_db)
 
 
 def _rank(text: str) -> int:
-    """A rank cell: blank, the best pair, reads as 0. A written rank is checked
-    here, as in the table a written 0 would pass for a blank."""
-    if not text.strip():
-        return 0
-    rank = int(text)
-    _check_fields((("rank", rank),))
-    return rank
+    """A rank cell: blank, the best pair, reads as 1."""
+    return int(text) if text.strip() else 1
 
 
 def _table(rows, blank, dtype) -> np.ndarray:
     """The rows as one structured array of `dtype`; if a column is out of range,
-    the first row out of range is found and cited. Ranks were checked as they
-    were read (`_rank`); curve names have no range. `rows` is a `_converted`
-    generator, which names the row of an index numpy cannot hold."""
+    the first row out of range is found and cited; curve names have no range.
+    `rows` is a `_converted` generator, which names the row of an integer numpy
+    cannot hold."""
     try:
         table = np.fromiter(rows, dtype)
-    except OverflowError as exc:  # an index past 64 bits, in the row `rows` last yielded
+    except OverflowError as exc:  # an integer past 64 bits, in the row `rows` last yielded
         rows.throw(exc)
-    names = [name for name in dtype.names if name not in ("rank", "curve")]
+    names = [name for name in dtype.names if name != "curve"]
     try:
         _check_fields((name, table[name]) for name in names)
     except ValueError:
@@ -194,7 +189,7 @@ def _read(source, schemas) -> np.ndarray:
     except csv.Error as exc:  # e.g. a field over the csv module's size limit
         raise CsvFormatError(f"row {rows.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:  # decoded in blocks, ahead of the rows: no row to cite
-        raise CsvFormatError(f"not UTF-8 text: {exc.reason}") from None
+        raise CsvFormatError(f"not {exc.encoding.upper()} text: {exc.reason}") from None
 
 
 def _converted(rows, header, converters, blank):
@@ -205,7 +200,7 @@ def _converted(rows, header, converters, blank):
         if not row:
             blank.append(row_num)
             continue
-        try:  # index cells convert by plain int: numpy's OverflowError bounds them at no cost per cell
+        try:  # integer cells convert by plain int: numpy's OverflowError bounds them for free
             yield tuple([convert(text) for convert, text in zip(converters, row, strict=True)])
         except (ValueError, OverflowError):
             raise CsvFormatError(f"row {row_num}: {_unconvertible(header, converters, row)}") from None
@@ -213,7 +208,7 @@ def _converted(rows, header, converters, blank):
 
 def _unconvertible(header, converters, row) -> str:
     """Why `row` fails: its width, or its first column that does not convert
-    or, as a raw index, overflows numpy's 64 bits."""
+    or, as an integer, overflows numpy's 64 bits."""
     if len(row) != len(header):
         return f"expected {len(header)} fields {list(header)}, got {len(row)}"
     for column, convert, text in zip(header, converters, row):
@@ -221,7 +216,7 @@ def _unconvertible(header, converters, row) -> str:
             value = convert(text)
         except ValueError as exc:
             return f"column {column}: {exc}"
-        if column.endswith("_idx") and not -(1 << 63) <= value < 1 << 63:
+        if isinstance(value, int) and not -(1 << 63) <= value < 1 << 63:
             return f"column {column}: {text} exceeds 64 bits"
 
 
@@ -280,31 +275,32 @@ def to_fit_points(points: np.ndarray, height="all", rank="all") -> tuple[np.ndar
     """The (distance_m, path_loss_db) columns of the aggregated points that
     match, in file order.
 
-    `height` is "all" or a height in meters; `rank` is "all", None (best
-    pair) or a rank number. Raises EmptySelectionError if nothing matches.
+    `height` is "all" or a height in meters; `rank` is "all" or a rank
+    number, None naming the best pair as 1 does. Raises EmptySelectionError
+    if nothing matches.
     """
     selected = np.ones(len(points), dtype=bool)
     if height != "all":
         selected &= points["height_m"] == float(height)
     if rank != "all":
-        number = None if rank is None else int(rank)
+        number = 1 if rank is None else int(rank)
         _check_fields((("rank", number),))
-        selected &= points["rank"] == (number or 0)
+        selected &= points["rank"] == number
     if not selected.any():
         raise EmptySelectionError(f"empty selection: no points match height={height}, rank={rank}")
     return points["distance_m"][selected], points["path_loss_db"][selected]
 
 
 def save_aggregated_csv(points, dest) -> None:
-    """Write an aggregated table, or a list of `AggregatedPoint` rows; repr
-    precision makes a reload bit-identical."""
+    """Write an aggregated table, or a list of `AggregatedPoint` rows, the best
+    pair's rank as a blank cell; repr precision makes a reload bit-identical."""
     rows = np.asarray(points, _AGGREGATED_DTYPE).tolist()  # Python numbers, whose repr is plain
     with (nullcontext(dest) if hasattr(dest, "write")
           else open(dest, "w", newline="", encoding="utf-8")) as handle:
         writer = csv.writer(handle)
         writer.writerow(AGGREGATED_COLUMNS)
-        for distance_m, height_m, rank, path_loss_db in rows:
-            writer.writerow([repr(distance_m), repr(height_m), rank or "", repr(path_loss_db)])
+        for d, h, rank, pl in rows:
+            writer.writerow([repr(d), repr(h), "" if rank == 1 else rank, repr(pl)])
 
 
 def fixture_path(name: str):

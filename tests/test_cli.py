@@ -137,7 +137,7 @@ class TestFitCommand:
         assert result.stdout == ""
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--rank", "0", "rank must be >= 1 and <= 400, got 0"),  # 0 is no rank, not the best pair
+        ("--rank", "0", "rank must be >= 1 and <= 400, got 0"),  # the best pair is rank 1
         ("--rank", "abc", "invalid --rank 'abc': invalid literal for int()"),
         ("--height", "abc", "invalid --height 'abc': could not convert string to float"),
     ])
@@ -756,6 +756,12 @@ class TestGoldenOutput:
         stdout = buffer.getvalue().encode()
         assert len(stdout) == goldens[name]["bytes"]
         assert hashlib.sha256(stdout).hexdigest() == goldens[name]["sha256"]
+
+    @pytest.mark.parametrize("rank", ["1", "none"])
+    def test_best_pair_rank_prints_fit_ci(self, goldens, run_cli, rank):
+        result = run_cli("fit", "--model", "ci", "--rank", rank)
+        assert result.returncode == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == goldens["fit-ci"]["sha256"]
 
 
 class TestDeterminism:

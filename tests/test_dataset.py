@@ -112,7 +112,7 @@ def raw_text(draw, bad=None):
 class TestBundledFixtures:
     def test_measurement_fixture_shape(self, fig2_points):
         assert len(fig2_points) == 27
-        assert fig2_points["rank"].tolist() == [0] * 27  # every point is a best pair
+        assert fig2_points["rank"].tolist() == [1] * 27  # every point is a best pair
         assert Counter(fig2_points["height_m"].tolist()) == {6.0: 7, 12.0: 12, 15.0: 8}
 
     @pytest.mark.parametrize("rank", [2, 3, 9])
@@ -369,6 +369,11 @@ class TestTextEncoding:
             with pytest.raises(CsvFormatError, match="^not UTF-8 text: invalid start byte$"):
                 load_csv(source)
 
+    def test_stream_error_names_its_codec(self):
+        data = "distance_m,height_m,rank,path_loss_d\u00e9\n".encode()
+        with pytest.raises(CsvFormatError, match=r"^not ASCII text: ordinal not in range\(128\)$"):
+            load_csv(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+
     @pytest.mark.parametrize("at_row", [1, 200, 2002])
     def test_reference_curves_not_utf8(self, tmp_path, monkeypatch, with_bad_byte, at_row):
         (tmp_path / REFERENCE_CURVES_FILE).write_bytes(
@@ -431,11 +436,35 @@ class TestLoadAggregatedCsv:
             "distance_m,height_m,rank,path_loss_db\n6,12,,85.5\n9,12,2,90.25\n"
         ))
         assert points.dtype.names == ("distance_m", "height_m", "rank", "path_loss_db")
-        assert points.tolist() == [(6.0, 12.0, 0, 85.5), (9.0, 12.0, 2, 90.25)]
+        assert points.tolist() == [(6.0, 12.0, 1, 85.5), (9.0, 12.0, 2, 90.25)]
+
+    def test_blank_and_written_best_pair_are_one_rank(self):
+        points = load_csv(io.StringIO(AGGREGATED_HEADER + "6,12,,85.5\n9,12,1,90.25\n"))
+        assert points["rank"].tolist() == [1, 1]
+        for rank in (1, None):
+            distances, path_loss = to_fit_points(points, rank=rank)
+            assert distances.tolist() == [6.0, 9.0]
+            assert path_loss.tolist() == [85.5, 90.25]
 
     def test_bad_rank_value(self):
         with pytest.raises(CsvFormatError, match=r"row 2.*rank"):
             load_csv(io.StringIO("distance_m,height_m,rank,path_loss_db\n6,12,0,85.5\n"))
+
+    def test_rank_past_64_bits_names_row_and_column(self, tmp_path):
+        text = AGGREGATED_HEADER + "6,12,99999999999999999999,85.5\n"
+        path = tmp_path / "aggregated.csv"
+        path.write_text(text, encoding="utf-8")
+        for source in (path, UnseekableStream(text)):
+            with pytest.raises(CsvFormatError,
+                               match="^row 2: column rank: 9{20} exceeds 64 bits$"):
+                load_csv(source)
+
+    def test_later_row_that_does_not_convert_comes_before_a_rank_range(self):
+        # ranks are range-checked by column, after every row has converted
+        with pytest.raises(CsvFormatError, match="^row 3: column rank: invalid literal"):
+            load_csv(io.StringIO(AGGREGATED_HEADER + "6,12,0,85.5\n9,12,x,90.25\n"))
+        with pytest.raises(CsvFormatError, match=r"^row 2: rank must be >= 1 and <= 400, got 0$"):
+            load_csv(io.StringIO(AGGREGATED_HEADER + "6,12,0,85.5\n9,12,2,90.25\n"))
 
 
 class TestAggregateTrials:
@@ -581,7 +610,7 @@ class TestToFitPoints:
         assert len(to_fit_points(points, rank=2)[0]) == 27
         with pytest.raises(EmptySelectionError):
             to_fit_points(points, rank=None)
-        # 0 is how the table holds the best pair, not a rank a filter may name
+        # the best pair is rank 1, so 0 names no rank
         with pytest.raises(ValueError, match="rank must be >= 1 and <= 400, got 0"):
             to_fit_points(fig2_points, rank=0)
 
@@ -610,4 +639,11 @@ class TestRoundTrip:
         save_aggregated_csv(points, buffer)
         assert buffer.getvalue().splitlines()[1:] == ["6.123456789012345,12.0,4,90.98765432109876",
                                                       "9.0,15.0,,88.5"]
+        assert load_csv(io.StringIO(buffer.getvalue())).tolist() == points
+
+    def test_best_pair_is_written_blank(self):
+        points = [AggregatedPoint(6.0, 12.0, 85.5, rank=1), AggregatedPoint(9.0, 12.0, 90.25)]
+        buffer = io.StringIO()
+        save_aggregated_csv(points, buffer)
+        assert buffer.getvalue().splitlines()[1:] == ["6.0,12.0,,85.5", "9.0,12.0,,90.25"]
         assert load_csv(io.StringIO(buffer.getvalue())).tolist() == points
