@@ -145,7 +145,7 @@ def _parse_distances(spec: str) -> tuple[float, float, int]:
 
 def cmd_compare(args) -> None:
     start, step, last = _parse_distances(args.distances)
-    ci = fit_ci(*to_fit_points(_read_points(args)), args.freq_ghz).model
+    ci = fit_ci(*to_fit_points(_read_points(args), rank=1), args.freq_ghz).model
     oxygen = (DEFAULT_OXYGEN_ALPHA_DB_PER_KM if args.oxygen_db_per_km is None
               else args.oxygen_db_per_km)
     _check_finite("--oxygen-db-per-km", oxygen, ge=0.0)
@@ -285,7 +285,7 @@ def _fit_rows(section, report, pub):
 
 
 def _report_table1(args):
-    points = to_fit_points(_read_points(args))
+    points = to_fit_points(_read_points(args), rank=1)
     return (_fit_rows("ci", fit_ci(*points, args.freq_ghz), published.TABLE1["ci"])
             + _fit_rows("fi", fit_fi(*points), published.TABLE1["fi"]))
 
@@ -295,7 +295,7 @@ def _report_table2(args):
     rows = []
     mirror = "published h=6 / h=15 columns are mirrored relative to the bundled series"
     for key, label in (("all", "all"), (6.0, "h=6"), (12.0, "h=12"), (15.0, "h=15")):
-        report = fit_ci(*to_fit_points(points, height=key), args.freq_ghz)
+        report = fit_ci(*to_fit_points(points, height=key, rank=1), args.freq_ghz)
         note = mirror if key in (6.0, 15.0) else ""
         rows.append(_row(label, "ple", report.model.ple, published.TABLE2_PLE[key], note))
         rows += _residual_rows(label, report, published.TABLE2_SIGMA[key])
@@ -312,7 +312,7 @@ def _report_table3(args):
     if missing:
         raise ValueError(f"missing rank fixtures: {', '.join(sorted(missing))}")
 
-    reports = {1: fit_ci(*to_fit_points(_read_points(args)), args.freq_ghz)}
+    reports = {1: fit_ci(*to_fit_points(_read_points(args), rank=1), args.freq_ghz)}
     for rank, points in rank_points.items():
         reports[rank] = fit_fi(*to_fit_points(points, rank=rank))
     needs_beams = "requires beam-level data"
@@ -340,7 +340,7 @@ def _report_table3(args):
 
 
 def _report_conclusion(args):
-    report = fit_ci(*to_fit_points(_read_points(args)), args.freq_ghz)
+    report = fit_ci(*to_fit_points(_read_points(args), rank=1), args.freq_ghz)
     pub = published.CONCLUSION
     return [
         _row("conclusion", "intercept_db", report.model.intercept_db, pub["intercept_db"]),

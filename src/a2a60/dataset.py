@@ -21,6 +21,7 @@ environment variable to load fixtures from another directory instead.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from contextlib import nullcontext
@@ -47,7 +48,7 @@ _AGGREGATED_DTYPE = np.dtype([(name, "i8" if name == "rank" else "f8")
 _CURVE_DTYPE = np.dtype([(name, object if name == "curve" else "f8") for name in CURVE_COLUMNS])
 # the points an int64 key of aggregate_trials tells apart, at one value per trial of a pair
 _MAX_POINTS = ((1 << 63) - 1) // math.prod(_FIELD_RANGES[n]["le"] + 1 for n in RAW_COLUMNS[2:5])
-_BULK_CHUNK = 1 << 20  # characters of raw rows per np.loadtxt call
+_BULK_CHUNK = 1 << 18  # characters of raw rows per read and np.loadtxt call
 # ASCII separators numpy's parser strips as whitespace but Python's float and int reject
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
@@ -100,22 +101,28 @@ def _table(rows, blank, dtype) -> np.ndarray:
 
 
 def _bulk_raw_table(handle) -> np.ndarray:
-    """The raw trials left in `handle`, parsed by numpy's C tokenizer a chunk
-    of lines at a time and range-checked by column. Raises ValueError on any
-    text the row-by-row reader might reject or read otherwise: a bad value or
-    quote, a wrong width, a value out of range, a line past the csv field
-    limit, or non-ASCII text (numpy's integer parser takes some non-ASCII
-    letters for digits)."""
-    limit, chunks = csv.field_size_limit(), []
-    while lines := handle.readlines(_BULK_CHUNK):
-        text = "".join(lines)
-        if (not text.isascii() or max(map(len, lines)) > limit
-                or any(char in text for char in _NUMPY_ONLY_SPACE)):
+    """The raw trials of `handle`, which stands at its header: a first pass counts
+    line breaks to size one table, which numpy's C tokenizer fills a chunk of
+    lines at a time; columns are then range-checked. Raises ValueError on any text
+    the row-by-row reader might reject or read otherwise: a bad value or quote, a
+    wrong width, a value out of range, a line past the csv field limit, or
+    non-ASCII text (numpy's integer parser takes some non-ASCII letters for digits)."""
+    start, limit, count = handle.tell(), csv.field_size_limit(), 1
+    while text := handle.read(_BULK_CHUNK):  # "\r", rare, is slow to count where absent
+        if not text.isascii() or any(char in text for char in _NUMPY_ONLY_SPACE):
             raise ValueError("left to the row-by-row reader")
-        if text.strip("\r\n"):  # numpy warns on a chunk of blank lines alone
-            chunks.append(np.loadtxt(lines, delimiter=",", dtype=_RAW_DTYPE, comments=None,
-                                     ndmin=1))
-    table = np.concatenate(chunks) if chunks else np.empty(0, _RAW_DTYPE)
+        count += text.count("\n") + ("\r" in text and text.count("\r") - text.count("\r\n"))
+    handle.seek(start)
+    handle.readline()
+    table, filled = np.empty(count, _RAW_DTYPE), 0
+    while lines := handle.readlines(_BULK_CHUNK):
+        if max(map(len, lines)) > limit:
+            raise ValueError("left to the row-by-row reader")
+        if any(line.strip("\r\n") for line in lines):  # numpy warns on blank lines alone
+            chunk = np.loadtxt(lines, delimiter=",", dtype=_RAW_DTYPE, comments=None, ndmin=1)
+            table[filled:filled + chunk.size] = chunk  # past the count, a ValueError
+            filled += chunk.size
+    table.resize(filled, refcheck=False)  # the count bounds the rows: blank lines hold none
     _check_fields((name, table[name]) for name in RAW_COLUMNS)
     return table
 
@@ -163,7 +170,7 @@ def _read(source, schemas) -> np.ndarray:
     reads it or locates and reports the error.
     """
     if not hasattr(source, "read"):
-        with open(source, newline="", encoding="utf-8-sig") as handle:
+        with _open_utf8(source) as handle:
             return _read(handle, schemas)
     start = _position(source) if _BULK_PARSE else None
     rows = csv.reader(source)
@@ -173,12 +180,12 @@ def _read(source, schemas) -> np.ndarray:
             raise CsvFormatError("missing header row")
         if header not in schemas:
             missing = min((set(columns) - set(header) for columns in schemas), key=len)
-            raise CsvFormatError(
-                f"unrecognized header {list(header)}; missing columns: {sorted(missing)}"
-            )
+            raise CsvFormatError(f"unrecognized header {list(header)}; "
+                                 f"missing columns: {sorted(missing)}")
         converters, dtype = schemas[header]
         if header == RAW_COLUMNS and start is not None:
             try:
+                source.seek(start)
                 return _bulk_raw_table(source)
             except (ValueError, OverflowError):  # read again, row by row, to find the error
                 source.seek(start)
@@ -237,25 +244,31 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
     overflow), is checked once by its extremes; the records trust those checks.
     """
     _check_fields((name, trials[name]) for name in RAW_COLUMNS)
-    key = 0  # per row: its (distance, height) point, then its tx, rx and trial
+    key = np.zeros(len(trials), np.int64)  # per row: its (distance, height) point, tx, rx, trial
     for name in RAW_COLUMNS[:2]:  # counts keep np.unique off its hash path, which imports numpy.ma
         values = np.unique(trials[name], return_counts=True)[0]
-        key = key * values.size + np.searchsorted(values, trials[name])
+        key *= values.size
+        key += np.searchsorted(values, trials[name])
     if key.max(initial=0) >= _MAX_POINTS:  # number only the points present, to fit int64
         key = np.unique(key, return_inverse=True)[1]
     for name in RAW_COLUMNS[2:5]:  # each index is in range: a key repeats only with a trial
-        key = key * (_FIELD_RANGES[name]["le"] + 1) + trials[name]
+        key *= _FIELD_RANGES[name]["le"] + 1
+        key += trials[name]
     order = np.argsort(key, kind="stable")
     key = key[order]
     repeated = np.flatnonzero(key[1:] == key[:-1])
     if repeated.size:
         d, h, tx, rx, trial, _ = trials[order[repeated[0] + 1]].tolist()
         raise ValueError(f"duplicate trial {trial} of beam pair ({tx}, {rx}) at (d={d} m, h={h} m)")
-    first = np.diff(key // (_FIELD_RANGES["trial_idx"]["le"] + 1), prepend=-1) != 0  # opens a pair
-    group = np.cumsum(first) - 1
+    key //= _FIELD_RANGES["trial_idx"]["le"] + 1  # now per pair
+    first = np.ones(len(key), bool)  # opens a pair
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    group = np.cumsum(first, out=key)  # key's buffer, no longer needed
+    group -= 1
     counts = np.bincount(group)
     means = np.bincount(group, weights=trials["path_loss_db"][order]) / counts
     pairs = trials[order[first]]
+    del key, order, first, group
     overflow = np.flatnonzero(~np.isfinite(means))
     if overflow.size:
         d, h, tx, rx, _, _ = pairs[overflow[0]].tolist()
@@ -311,14 +324,18 @@ def fixture_path(name: str):
     return resources.files(__package__) / "data" / name
 
 
-def _open_fixture(name: str):
-    return fixture_path(name).open("r", newline="", encoding="utf-8-sig")
+def _open_utf8(path):
+    """`path` (a file name or a Traversable) as UTF-8 text past a leading byte-order
+    mark, as the utf-8-sig codec reads it, without importing that codec's module."""
+    binary = path.open("rb") if hasattr(path, "open") else open(path, "rb")
+    if binary.read(3) != "\ufeff".encode():
+        binary.seek(0)
+    return io.TextIOWrapper(binary, encoding="utf-8", newline="")
 
 
 def load_measurement_points(name: str = MEASUREMENTS_FILE) -> np.ndarray:
     """Best-beam aggregated points (27 bundled (distance, height) markers)."""
-    with _open_fixture(name) as handle:
-        return load_csv(handle)
+    return load_csv(fixture_path(name))
 
 
 def load_rank_points(rank: int) -> np.ndarray:
@@ -329,14 +346,12 @@ def load_rank_points(rank: int) -> np.ndarray:
             f"no bundled fixture for rank {rank}; available: {sorted(RANK_FILES)} "
             "(other ranks require beam-level data)"
         )
-    with _open_fixture(RANK_FILES[rank]) as handle:
-        return load_csv(handle)
+    return load_csv(fixture_path(RANK_FILES[rank]))
 
 
 def load_reference_curves(name: str = REFERENCE_CURVES_FILE) -> dict[str, list[tuple[float, float]]]:
     """Bundled reference curves as {curve: [(distance_m, path_loss_db), ...]}."""
-    with _open_fixture(name) as handle:
-        table = _read(handle, _CURVE_SCHEMAS)
+    table = _read(fixture_path(name), _CURVE_SCHEMAS)
     curves: dict[str, list[tuple[float, float]]] = {}
     for curve, distance_m, path_loss_db in table.tolist():
         curves.setdefault(curve, []).append((distance_m, path_loss_db))

@@ -49,6 +49,21 @@ GOLDEN_COMMANDS = {
 }
 
 
+# the commands whose fits are set against the paper's best-pair figures
+BEST_PAIR_COMMANDS = [("compare",), *(("report", "--which", which)
+                                       for which in ("table1", "table2", "table3", "conclusion"))]
+
+
+@pytest.fixture(scope="module")
+def mixed_ranks(tmp_path_factory):
+    """The bundled best-pair points followed by the bundled rank-2 points, in one CSV."""
+    best, rank2 = (fixture_path(name).read_text(encoding="utf-8").splitlines(keepends=True)
+                   for name in (MEASUREMENTS_FILE, "fig6_rank2.csv"))
+    path = tmp_path_factory.mktemp("mixed") / "mixed.csv"
+    path.write_text("".join(best + rank2[1:]), encoding="utf-8")
+    return path
+
+
 class CliResult(NamedTuple):
     returncode: int
     stdout: str
@@ -644,10 +659,33 @@ class TestReportCommand:
         result = run_cli("report", "--which", "conclusion", "--format", "markdown-table")
         assert "PL(d) = 68.08" in result.stdout
 
+    def test_table1_fits_the_best_pairs_of_mixed_ranks(self, run_cli, mixed_ranks):
+        rows = parse_csv(run_cli("report", "--which", "table1", "--input", str(mixed_ranks)).stdout)
+        ple = next(r for r in rows if (r["section"], r["param"]) == ("ci", "ple"))
+        assert float(ple["computed"]) == pytest.approx(2.2514, abs=1e-4)  # all 54 rows: 2.3265
+
     def test_json_report_parses(self, run_cli):
         doc = json.loads(run_cli("report", "--which", "table1", "--format", "json").stdout)
         assert isinstance(doc, list)
         assert {"section", "param", "computed", "published", "abs_delta", "note"} == set(doc[0])
+
+
+class TestBestPairInput:
+    """compare and report set their fits against best-pair figures, so they
+    fit the rank-1 rows of --input only."""
+
+    @pytest.mark.parametrize("args", BEST_PAIR_COMMANDS, ids=" ".join)
+    def test_rows_of_other_ranks_change_nothing(self, run_cli, mixed_ranks, args):
+        bundled = run_cli(*args)
+        assert bundled.returncode == 0, bundled.stderr
+        assert run_cli(*args, "--input", str(mixed_ranks)) == bundled
+
+    @pytest.mark.parametrize("args", BEST_PAIR_COMMANDS, ids=" ".join)
+    def test_input_without_best_pairs_is_an_empty_selection(self, run_cli, args):
+        result = run_cli(*args, "--input", str(fixture_path("fig6_rank2.csv")))
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: empty selection: no points match height=all, rank=1\n"
 
 
 class TestRawInputRejected:

@@ -2,9 +2,12 @@ import codecs
 import dataclasses
 import io
 import math
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from collections import Counter
@@ -60,14 +63,15 @@ class UnseekableBytes(io.BytesIO):
         return False
 
 
-def load_three_ways(text):
+def load_three_ways(text, newline="\n"):
     """`load_csv` of `text` from a path, a seekable stream and an unseekable
-    stream: each result, or the CsvFormatError message, in that order."""
+    stream, the streams splitting lines as `newline` says: each result, or the
+    CsvFormatError message, in that order."""
     outcomes = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "raw.csv"
         path.write_bytes(text.encode("utf-8"))
-        for source in (path, io.StringIO(text), UnseekableStream(text)):
+        for source in (path, io.StringIO(text, newline), UnseekableStream(text, newline)):
             try:
                 outcomes.append(load_csv(source))
             except CsvFormatError as exc:
@@ -107,6 +111,16 @@ def raw_text(draw, bad=None):
         lines.insert(draw(st.integers(0, len(lines))), "")
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join([RAW_HEADER.rstrip("\n"), *lines]) + newline
+
+
+# raw rows for the chunk-boundary tests, each valid and ASCII, of several lengths
+CHUNK_ROWS = [f"{d},12,{tx},{rx},{t},{80 + d + rx / 4 + t / 8}"
+              for d in (6, 40) for tx, rx in ((0, 0), (19, 7)) for t in range(4)]
+
+
+def raw_lines(rows, newline, final=True):
+    """A raw CSV of `rows`, each line ended by `newline`, the last one only if `final`."""
+    return newline.join([RAW_HEADER.rstrip("\n"), *rows]) + (newline if final else "")
 
 
 class TestBundledFixtures:
@@ -270,7 +284,9 @@ class TestLoadRawCsv:
 
 class TestBulkParse:
     """A seekable raw CSV is parsed by numpy in bulk; the row-by-row reader
-    runs again only if that fails, and must give the same table or error."""
+    runs again only if that fails, and must give the same table or error. The
+    bulk parse reads the text twice, a chunk at a time: once to count its line
+    breaks, once to parse its lines; where the chunks end changes nothing."""
 
     @settings(deadline=None)
     @given(text=raw_text())
@@ -349,6 +365,38 @@ class TestBulkParse:
             assert len(table) == 0
             assert table.dtype == dataset._RAW_DTYPE
 
+    @pytest.mark.parametrize("chunk", [1, 23, 64])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("layout", ["rows", "blank runs", "no final newline", "header only",
+                                        "header only, no final newline"])
+    def test_chunks_change_nothing(self, monkeypatch, chunk, newline, layout):
+        rows = {"rows": CHUNK_ROWS, "no final newline": CHUNK_ROWS,
+                "blank runs": [line for i, row in enumerate(CHUNK_ROWS)
+                               for line in [row, *[""] * (3 * (i % 4))]]}.get(layout, [])
+        text = raw_lines(rows, newline, final="no final newline" not in layout)
+        monkeypatch.setattr(dataset, "_BULK_CHUNK", chunk)
+        bulk = dataset._bulk_raw_table(io.StringIO(text, ""))  # parsed, not declined
+        from_path, from_stream, row_by_row = load_three_ways(text, newline="")
+        assert len(row_by_row) == len(rows) - rows.count("")
+        for table in (bulk, from_path, from_stream):
+            assert table.dtype == row_by_row.dtype == dataset._RAW_DTYPE
+            assert table.tolist() == row_by_row.tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 23, 64])
+    @pytest.mark.parametrize("bad", ["6,12,0,0,0,abc", "6,12,0,0", "6,12,0,20,0,90.0",
+                                     "6,12,0,0,0,90.0\u00b5", "6,12,0,0,0,90.0\x1c",
+                                     "6,12,0,0,0,9" + "0" * 200_000],
+                             ids=["text", "wrong width", "out of range", "not ASCII",
+                                  "space to numpy alone", "past the field limit"])
+    @pytest.mark.parametrize("at", [0, 9, len(CHUNK_ROWS)])
+    def test_errors_past_many_chunks(self, monkeypatch, chunk, bad, at):
+        monkeypatch.setattr(dataset, "_BULK_CHUNK", chunk)
+        rows = [*CHUNK_ROWS[:at], "", bad, "", *CHUNK_ROWS[at:]]
+        from_path, from_stream, row_by_row = load_three_ways(raw_lines(rows, "\r\n"), newline="")
+        assert isinstance(row_by_row, str)
+        assert row_by_row.startswith(f"row {at + 3}: ")
+        assert from_path == from_stream == row_by_row
+
 
 class TestTextEncoding:
     """Files are UTF-8, with or without a byte-order mark. Text is decoded in
@@ -398,6 +446,31 @@ class TestTextEncoding:
             RAW_HEADER + "6,12,0,0,0,90.0\n6,12,0,0,1,90.0\n6,12,0,20,0,90.0\n").encode())
         with pytest.raises(CsvFormatError, match=r"^row 4: rx_beam_idx must be >= 0 and <= 19"):
             load_csv(path)
+
+    @pytest.mark.parametrize("start", [b"\xff", b"\xef\xbb", b"\xef\xbb\xbf\xff"],
+                             ids=["bad byte", "cut mark", "mark, bad byte"])
+    def test_not_utf8_from_the_first_byte(self, tmp_path, monkeypatch, start):
+        (tmp_path / MEASUREMENTS_FILE).write_bytes(start + AGGREGATED_HEADER.encode())
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        for load in (lambda: load_csv(tmp_path / MEASUREMENTS_FILE), load_measurement_points):
+            with pytest.raises(CsvFormatError, match="^not UTF-8 text: "):
+                load()
+
+    def test_paths_load_without_the_utf8_sig_codec(self, tmp_path):
+        # Python does not load that codec at start-up: importing it costs memory
+        path = tmp_path / "raw.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (RAW_HEADER + "6,12,0,0,0,90.0\n").encode())
+        code = ("import sys\n"
+                "from a2a60 import load_csv, load_measurement_points, load_reference_curves\n"
+                "assert load_csv(sys.argv[1]).tolist() == [(6.0, 12.0, 0, 0, 0, 90.0)]\n"
+                "load_measurement_points(), load_reference_curves()\n"
+                "print(sorted(name for name in sys.modules if 'utf_8_sig' in name))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        result = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                                text=True, env=env)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
     def test_stream_text_is_read_as_given(self):
         # only the files the reader opens are decoded; a stream's mark stays in its header

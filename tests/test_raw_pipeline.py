@@ -3,7 +3,9 @@ independent numpy reference of `bench/campaign.py` (read, never changed)."""
 
 import csv
 import importlib.util
+import io
 import sys
+import tracemalloc
 from itertools import groupby
 from pathlib import Path
 
@@ -34,10 +36,17 @@ def campaign():
     return module
 
 
-def test_campaign_pipeline_matches_reference(campaign, tmp_path):
+@pytest.fixture(scope="module")
+def campaign_raw(campaign, tmp_path_factory):
+    """The seeded campaign and the path of its raw-trial CSV."""
     c = campaign.generate(SEED, Path(str(fixture_path(MEASUREMENTS_FILE))))
-    raw = tmp_path / "raw.csv"
+    raw = tmp_path_factory.mktemp("campaign") / "raw.csv"
     campaign.write_raw_csv(c, raw)
+    return c, raw
+
+
+def test_campaign_pipeline_matches_reference(campaign, campaign_raw, tmp_path):
+    c, raw = campaign_raw
     points = c.distance_m.size
     pairs = campaign.WINDOW ** 2
 
@@ -75,3 +84,23 @@ def test_campaign_pipeline_matches_reference(campaign, tmp_path):
         i = index[(float(row["distance_m"]), float(row["height_m"]))]
         expected = c.rank_points(int(row["rank"] or 1))[i]
         assert abs(float(row["path_loss_db"]) - expected) <= TOLERANCE
+
+
+def test_memory_peaks_stay_near_the_table(campaign, campaign_raw):
+    # the parse fills one table sized by a count of line breaks, and the trial
+    # means are taken in place: neither holds a second copy of the trials
+    _, raw = campaign_raw
+    warm = io.StringIO(campaign.RAW_HEADER + "\n6,12,0,0,0,90.0\n")
+    aggregate_trials(load_csv(warm))  # numpy's lazy imports, outside the trace
+    tracemalloc.start()
+    try:
+        table = load_csv(raw)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        aggregate_trials(table)
+        aggregate_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert load_peak <= 1.35 * table.nbytes, load_peak / table.nbytes
+    assert aggregate_peak <= 0.65 * table.nbytes, aggregate_peak / table.nbytes
