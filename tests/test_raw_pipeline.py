@@ -15,6 +15,7 @@ import pytest
 from a2a60 import (
     AggregatedPoint,
     aggregate_trials,
+    dataset,
     fit_misalignment_table,
     load_csv,
     rank_beam_pairs,
@@ -86,21 +87,34 @@ def test_campaign_pipeline_matches_reference(campaign, campaign_raw, tmp_path):
         assert abs(float(row["path_loss_db"]) - expected) <= TOLERANCE
 
 
-def test_memory_peaks_stay_near_the_table(campaign, campaign_raw):
-    # the parse fills one table sized by a count of line breaks, and the trial
-    # means are taken in place: neither holds a second copy of the trials
-    _, raw = campaign_raw
-    warm = io.StringIO(campaign.RAW_HEADER + "\n6,12,0,0,0,90.0\n")
-    aggregate_trials(load_csv(warm))  # numpy's lazy imports, outside the trace
+@pytest.fixture(scope="module")
+def warm(campaign):
+    """numpy's lazy imports, made by a small load and aggregation outside any trace."""
+    aggregate_trials(load_csv(io.StringIO(campaign.RAW_HEADER + "\n6,12,0,0,0,90.0\n")))
+
+
+def traced_peak(call, *args):
+    """The result of `call(*args)` and the peak of the memory it allocated, its
+    arguments not counted."""
     tracemalloc.start()
     try:
-        table = load_csv(raw)
-        load_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
-        aggregate_trials(table)
-        aggregate_peak = tracemalloc.get_traced_memory()[1] - held
+        return call(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert load_peak <= 1.35 * table.nbytes, load_peak / table.nbytes
-    assert aggregate_peak <= 0.65 * table.nbytes, aggregate_peak / table.nbytes
+
+
+@pytest.mark.skipif(not dataset._BULK_PARSE,
+                    reason="this numpy reads a float into an integer column: raw files load row by row")
+def test_parse_holds_one_table(campaign_raw, warm):
+    # the bulk parse fills one table sized by a count of line breaks: it holds
+    # no list of chunk tables beside their concatenation
+    table, peak = traced_peak(load_csv, campaign_raw[1])
+    assert peak <= 1.35 * table.nbytes, peak / table.nbytes
+
+
+def test_aggregation_holds_no_copy_of_the_trials(campaign_raw, warm):
+    # the key is built in place and its buffer reused: about three int64
+    # columns at once, a little over half the table's six
+    table = load_csv(campaign_raw[1])
+    _, peak = traced_peak(aggregate_trials, table)
+    assert peak <= 0.65 * table.nbytes, peak / table.nbytes
