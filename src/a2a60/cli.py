@@ -429,6 +429,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)
+    except BrokenPipeError:  # stdout's reader left: say nothing, and let the flush at exit
+        if sys.stdout is sys.__stdout__:  # write to nothing rather than fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

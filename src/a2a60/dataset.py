@@ -24,6 +24,7 @@ import csv
 import io
 import math
 import os
+import warnings
 from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
@@ -48,7 +49,7 @@ _AGGREGATED_DTYPE = np.dtype([(name, "i8" if name == "rank" else "f8")
 _CURVE_DTYPE = np.dtype([(name, object if name == "curve" else "f8") for name in CURVE_COLUMNS])
 # the points an int64 key of aggregate_trials tells apart, at one value per trial of a pair
 _MAX_POINTS = ((1 << 63) - 1) // math.prod(_FIELD_RANGES[n]["le"] + 1 for n in RAW_COLUMNS[2:5])
-_BULK_CHUNK = 1 << 18  # characters of raw rows per read and np.loadtxt call
+_BULK_CHUNK = 1 << 18  # characters per read of the bulk parse's first pass
 # ASCII separators numpy's parser strips as whitespace but Python's float and int reject
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
@@ -100,30 +101,36 @@ def _table(rows, blank, dtype) -> np.ndarray:
     return table
 
 
-def _bulk_raw_table(handle) -> np.ndarray:
-    """The raw trials of `handle`, which stands at its header: a first pass counts
-    line breaks to size one table, which numpy's C tokenizer fills a chunk of
-    lines at a time; columns are then range-checked. Raises ValueError on any text
-    the row-by-row reader might reject or read otherwise: a bad value or quote, a
-    wrong width, a value out of range, a line past the csv field limit, or
-    non-ASCII text (numpy's integer parser takes some non-ASCII letters for digits)."""
-    start, limit, count = handle.tell(), csv.field_size_limit(), 1
-    while text := handle.read(_BULK_CHUNK):  # "\r", rare, is slow to count where absent
-        if not text.isascii() or any(char in text for char in _NUMPY_ONLY_SPACE):
+def _bulk_raw_table(handle, path=None) -> np.ndarray:
+    """The raw trials of `handle`, which stands at its header, in one np.loadtxt call on
+    `path`, the file `handle` reads (numpy reads a file it opens in chunks), or else on
+    `handle`'s lines; a first pass counts line breaks, which bound the rows. Raises ValueError
+    on any text the row-by-row reader might reject or read otherwise: a bad value or quote,
+    a wrong width, a value out of range, a line past the csv field limit, or non-ASCII text
+    (numpy's integer parser takes some non-ASCII letters for digits)."""
+    start, count, line, limit = handle.tell(), 0, 0, csv.field_size_limit()
+    # in reads no longer than the csv field limit, only a line open across reads can pass it
+    while text := handle.read(max(min(_BULK_CHUNK, limit), 1)):
+        if "\r" in text:  # rare, and slow to count where absent; "\r\n" is one break
+            count -= text.count("\r\n")
+            text = text.replace("\r", "\n")
+        count += text.count("\n")
+        first, last = text.find("\n"), text.rfind("\n")  # both -1 if the open line goes on
+        if (line + (first if first >= 0 else len(text)) > limit or not text.isascii()
+                or any(char in text for char in _NUMPY_ONLY_SPACE)):
             raise ValueError("left to the row-by-row reader")
-        count += text.count("\n") + ("\r" in text and text.count("\r") - text.count("\r\n"))
+        line = len(text) - last - 1 if last >= 0 else line + len(text)  # the open line's length
     handle.seek(start)
-    handle.readline()
-    table, filled = np.empty(count, _RAW_DTYPE), 0
-    while lines := handle.readlines(_BULK_CHUNK):
-        if max(map(len, lines)) > limit:
-            raise ValueError("left to the row-by-row reader")
-        if any(line.strip("\r\n") for line in lines):  # numpy warns on blank lines alone
-            chunk = np.loadtxt(lines, delimiter=",", dtype=_RAW_DTYPE, comments=None, ndmin=1)
-            table[filled:filled + chunk.size] = chunk  # past the count, a ValueError
-            filled += chunk.size
-    table.resize(filled, refcheck=False)  # the count bounds the rows: blank lines hold none
-    _check_fields((name, table[name]) for name in RAW_COLUMNS)
+    # numpy's opener fetches a URL (never an absolute name) and decompresses by suffix
+    name = isinstance(path, (str, bytes, os.PathLike)) and os.path.abspath(os.fsdecode(path))
+    source = name if name and not name.endswith((".gz", ".bz2", ".xz", ".lzma")) else handle
+    with warnings.catch_warnings():  # numpy warns of no rows, and of blank lines given max_rows
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(source, delimiter=",", dtype=_RAW_DTYPE, comments=None, ndmin=1,
+                           skiprows=1, encoding="utf-8", max_rows=count + 1)
+    if len(table) > count:  # numpy split a line the csv module does not
+        raise ValueError("left to the row-by-row reader")
+    _check_fields((column, table[column]) for column in RAW_COLUMNS)
     return table
 
 
@@ -160,10 +167,10 @@ _MEASUREMENT_SCHEMAS = {
 _CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _CURVE_DTYPE)}
 
 
-def _read(source, schemas) -> np.ndarray:
-    """The table of a CSV whose header is one of `schemas`, built from its
-    non-blank rows, converted as they stream in. `source` is a path or an open
-    stream. Every conversion or range error becomes a CsvFormatError naming the row.
+def _read(source, schemas, path=None) -> np.ndarray:
+    """The table of a CSV whose header is one of `schemas`, built from its non-blank
+    rows, converted as they stream in. `source` is a path or an open stream (of the file
+    at `path`, if given). Every conversion or range error becomes a CsvFormatError naming the row.
 
     Raw trials from a seekable source are parsed in bulk; if that fails, the
     source is read again from where it started, row by row, which either
@@ -171,7 +178,7 @@ def _read(source, schemas) -> np.ndarray:
     """
     if not hasattr(source, "read"):
         with _open_utf8(source) as handle:
-            return _read(handle, schemas)
+            return _read(handle, schemas, source)
     start = _position(source) if _BULK_PARSE else None
     rows = csv.reader(source)
     try:
@@ -186,7 +193,7 @@ def _read(source, schemas) -> np.ndarray:
         if header == RAW_COLUMNS and start is not None:
             try:
                 source.seek(start)
-                return _bulk_raw_table(source)
+                return _bulk_raw_table(source, path)
             except (ValueError, OverflowError):  # read again, row by row, to find the error
                 source.seek(start)
                 rows = csv.reader(source)

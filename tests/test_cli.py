@@ -557,8 +557,8 @@ class TestSampleHelper:
                 raise BrokenPipeError(32, "Broken pipe")
 
         monkeypatch.setattr(sys, "stdout", BrokenStdout())
-        assert main(["sample", "--distance", "20", "--n", "100000", "--seed", "1"]) == 1
-        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert main(["sample", "--distance", "20", "--n", "100000", "--seed", "1"]) == 0
+        assert capsys.readouterr().err == ""
         assert len(spawns) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -596,6 +596,19 @@ class TestSampleHelper:
             capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.splitlines(keepends=True) == library_lines("ci", 100000, 8)
+
+
+@pytest.mark.parametrize("args", [("compare", "--distances", "1:150:0.01"),
+                                  ("sample", "--distance", "20", "--n", "1000000")],
+                         ids=["compare", "sample"])
+def test_stdout_closed_early_exits_quietly(args):
+    # as `a2a60 ... | head -1` does; sample's helper formats the odd blocks here
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    with subprocess.Popen([sys.executable, "-m", "a2a60.cli", *args], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path)) as process:
+        assert process.stdout.readline()
+        process.stdout.close()
+        assert (process.stderr.read(), process.wait(timeout=120)) == (b"", 0)
 
 
 class TestReportCommand:

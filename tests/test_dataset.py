@@ -1,5 +1,7 @@
 import codecs
+import csv
 import dataclasses
+import gzip
 import io
 import math
 import os
@@ -9,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import urllib.request
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -63,6 +66,14 @@ class UnseekableBytes(io.BytesIO):
         return False
 
 
+def load_outcome(source):
+    """`load_csv(source)`, or the CsvFormatError message."""
+    try:
+        return load_csv(source)
+    except CsvFormatError as exc:
+        return str(exc)
+
+
 def load_three_ways(text, newline="\n"):
     """`load_csv` of `text` from a path, a seekable stream and an unseekable
     stream, the streams splitting lines as `newline` says: each result, or the
@@ -72,10 +83,7 @@ def load_three_ways(text, newline="\n"):
         path = Path(tmp) / "raw.csv"
         path.write_bytes(text.encode("utf-8"))
         for source in (path, io.StringIO(text, newline), UnseekableStream(text, newline)):
-            try:
-                outcomes.append(load_csv(source))
-            except CsvFormatError as exc:
-                outcomes.append(str(exc))
+            outcomes.append(load_outcome(source))
     return outcomes
 
 
@@ -121,6 +129,30 @@ CHUNK_ROWS = [f"{d},12,{tx},{rx},{t},{80 + d + rx / 4 + t / 8}"
 def raw_lines(rows, newline, final=True):
     """A raw CSV of `rows`, each line ended by `newline`, the last one only if `final`."""
     return newline.join([RAW_HEADER.rstrip("\n"), *rows]) + (newline if final else "")
+
+
+@pytest.fixture
+def bulk_outcomes(monkeypatch):
+    """What each bulk parse of a raw CSV did, "parsed" or "declined", in call order."""
+    outcomes = []
+
+    def spy(*args, parse=dataset._bulk_raw_table):
+        try:
+            table = parse(*args)
+        except ValueError:
+            outcomes.append("declined")
+            raise
+        outcomes.append("parsed")
+        return table
+
+    monkeypatch.setattr(dataset, "_bulk_raw_table", spy)
+    return outcomes
+
+
+def bulk_parses(*outcomes):
+    """What `bulk_outcomes` records of `outcomes`: none where numpy's lenient
+    integer parser keeps the bulk parse off."""
+    return list(outcomes) if dataset._BULK_PARSE else []
 
 
 class TestBundledFixtures:
@@ -328,21 +360,9 @@ class TestBulkParse:
         ('6,12,0,0,"1",91.0', False),  # the csv module unquotes
         ("6,12,0,0,1,91.0\u3000", False),  # both read this, but only ASCII goes to numpy
     ])
-    def test_bulk_parse_declines_what_it_may_misread(self, monkeypatch, row, bulk):
-        outcomes = []
-
-        def spy(handle, parse=dataset._bulk_raw_table):
-            try:
-                table = parse(handle)
-            except ValueError:
-                outcomes.append("declined")
-                raise
-            outcomes.append("parsed")
-            return table
-
-        monkeypatch.setattr(dataset, "_bulk_raw_table", spy)
+    def test_bulk_parse_declines_what_it_may_misread(self, bulk_outcomes, row, bulk):
         table = load_csv(raw_csv("6,12,0,0,0,90.0", "", row))
-        assert outcomes == ["parsed" if bulk else "declined"]
+        assert bulk_outcomes == ["parsed" if bulk else "declined"]
         trial = 10 if "_" in row else 1
         assert table.tolist() == [(6.0, 12.0, 0, 0, 0, 90.0), (6.0, 12.0, 0, 0, trial, 91.0)]
 
@@ -397,6 +417,62 @@ class TestBulkParse:
         assert row_by_row.startswith(f"row {at + 3}: ")
         assert from_path == from_stream == row_by_row
 
+    @pytest.mark.parametrize("text", [" ", "\t", "6,12,0,0,0,90.0\n \n6,12,0,0,1,90.0"],
+                             ids=["space", "tab", "between rows"])
+    def test_line_of_spaces_is_a_row(self, text):
+        # the csv module reads it as a row of one field, not as a blank line
+        (message,) = set(load_three_ways(RAW_HEADER + text + "\n"))
+        assert re.match(r"^row \d: expected 6 fields", message)
+
+    @pytest.mark.parametrize("chunk", [1, 23, 1 << 18])
+    @pytest.mark.parametrize("length, bulk", [(80, True), (81, False)])
+    def test_lines_past_the_field_limit_are_declined(self, monkeypatch, bulk_outcomes, chunk,
+                                                     length, bulk):
+        # any line longer than the limit is left to the row-by-row reader; this
+        # one it reads, as each field is within the limit
+        row = "6,12,0,0,1,91." + "0" * (length - 14)
+        monkeypatch.setattr(dataset, "_BULK_CHUNK", chunk)
+        limit = csv.field_size_limit(80)
+        try:
+            tables = load_three_ways(raw_lines([CHUNK_ROWS[0], row, CHUNK_ROWS[1]], "\r\n"))
+        finally:
+            csv.field_size_limit(limit)
+        assert bulk_outcomes == bulk_parses(*["parsed" if bulk else "declined"] * 2)
+        for table in tables:
+            assert table.tolist() == [(6.0, 12.0, 0, 0, 0, 86.0), (6.0, 12.0, 0, 0, 1, 91.0),
+                                      (6.0, 12.0, 0, 0, 1, 86.125)]
+
+    @pytest.mark.parametrize("name", ["raw.csv.gz", "raw.bz2", "raw.xz", "raw.lzma"])
+    @pytest.mark.parametrize("rows", [CHUNK_ROWS, [*CHUNK_ROWS[:5], "", "6,12,0,0,0,abc"]],
+                             ids=["valid", "bad row"])
+    def test_plain_text_named_as_compressed(self, tmp_path, bulk_outcomes, name, rows):
+        # numpy's file opener decompresses by suffix: such a file is parsed from its handle
+        text = raw_lines(rows, "\n")
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        loaded, row_by_row = load_outcome(path), load_outcome(UnseekableStream(text))
+        assert bulk_outcomes == bulk_parses("parsed" if rows is CHUNK_ROWS else "declined")
+        if isinstance(row_by_row, str):
+            assert row_by_row.startswith("row 8: column path_loss_db: ")
+            assert loaded == row_by_row
+        else:
+            assert loaded.dtype == row_by_row.dtype == dataset._RAW_DTYPE
+            assert loaded.tolist() == row_by_row.tolist()
+
+    def test_name_read_as_a_url_is_opened_as_a_file(self, tmp_path, monkeypatch):
+        # numpy's opener would fetch a relative name such as this one, so it is given
+        # the absolute one
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("a URL was opened")
+
+        monkeypatch.setattr(urllib.request, "urlopen", no_network)
+        text = raw_lines(CHUNK_ROWS, "\n")
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        (tmp_path / "http:" / "host" / "raw.csv").write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert load_csv("http://host/raw.csv").tolist() == load_csv(io.StringIO(text)).tolist()
+
 
 class TestTextEncoding:
     """Files are UTF-8, with or without a byte-order mark. Text is decoded in
@@ -446,6 +522,22 @@ class TestTextEncoding:
             RAW_HEADER + "6,12,0,0,0,90.0\n6,12,0,0,1,90.0\n6,12,0,20,0,90.0\n").encode())
         with pytest.raises(CsvFormatError, match=r"^row 4: rx_beam_idx must be >= 0 and <= 19"):
             load_csv(path)
+
+    def test_gzip_compressed_raw_file_is_not_utf8(self, tmp_path):
+        path = tmp_path / "raw.csv.gz"
+        path.write_bytes(gzip.compress(raw_lines(CHUNK_ROWS, "\n").encode()))
+        with pytest.raises(CsvFormatError, match="^not UTF-8 text: invalid start byte$"):
+            load_csv(path)
+
+    def test_byte_order_mark_before_raw_rows_is_parsed_in_bulk(self, tmp_path, bulk_outcomes):
+        # numpy skips the header, and the mark with it
+        text = raw_lines(CHUNK_ROWS, "\r\n")
+        path = tmp_path / "raw.csv"
+        path.write_bytes(codecs.BOM_UTF8 + text.encode())
+        table, row_by_row = load_csv(path), load_csv(UnseekableStream(text))
+        assert bulk_outcomes == bulk_parses("parsed")
+        assert table.dtype == row_by_row.dtype == dataset._RAW_DTYPE
+        assert table.tolist() == row_by_row.tolist()
 
     @pytest.mark.parametrize("start", [b"\xff", b"\xef\xbb", b"\xef\xbb\xbf\xff"],
                              ids=["bad byte", "cut mark", "mark, bad byte"])
