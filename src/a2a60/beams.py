@@ -40,7 +40,7 @@ def _check_fields(items) -> None:
         _check_finite(name, value, **_FIELD_RANGES[name])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeamScanRecord:
     """Trial-averaged path loss of one (tx, rx) beam pair at one point."""
 
@@ -52,7 +52,7 @@ class BeamScanRecord:
     trial_count: int = 1
 
     def __post_init__(self):
-        _check_fields(vars(self).items())
+        _check_fields((name, getattr(self, name)) for name in self.__slots__)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import codecs
+import copy
 import csv
 import dataclasses
 import gzip
 import io
 import math
 import os
+import pickle
 import random
 import re
 import shutil
@@ -362,7 +364,7 @@ class TestBulkParse:
     ])
     def test_bulk_parse_declines_what_it_may_misread(self, bulk_outcomes, row, bulk):
         table = load_csv(raw_csv("6,12,0,0,0,90.0", "", row))
-        assert bulk_outcomes == ["parsed" if bulk else "declined"]
+        assert bulk_outcomes == bulk_parses("parsed" if bulk else "declined")
         trial = 10 if "_" in row else 1
         assert table.tolist() == [(6.0, 12.0, 0, 0, 0, 90.0), (6.0, 12.0, 0, 0, trial, 91.0)]
 
@@ -716,14 +718,21 @@ class TestAggregateTrials:
         rows = [f"{d},{h},{tx},{rx},{t},{85.0 + d + h + tx + rx + t / 7}" for d in (6.0, 12.5)
                 for h in (6.0, 15.0) for tx in (0, 19) for rx in (3, 4) for t in range(3)]
         out = aggregate_trials(load_csv(raw_csv(*rows)))
-        checked = [BeamScanRecord(*vars(r).values()) for r in out]
+        checked = [BeamScanRecord(*dataclasses.astuple(r)) for r in out]
         assert [type(r) for r in out] == [BeamScanRecord] * 16
         assert out == checked
         assert list(map(hash, out)) == list(map(hash, checked))
         assert list(map(repr, out)) == list(map(repr, checked))
-        assert [vars(r) for r in out] == [vars(r) for r in checked]
+        names = [field.name for field in dataclasses.fields(BeamScanRecord)]
+        assert [[(name, type(getattr(r, name)), getattr(r, name)) for name in names] for r in out] \
+            == [[(name, type(getattr(r, name)), getattr(r, name)) for name in names] for r in checked]
         with pytest.raises(dataclasses.FrozenInstanceError):
             out[0].path_loss_db = 0.0
+        assert not hasattr(out[0], "__dict__")  # slotted: vars(record) no longer exists
+        # a frozen slotted record pickles and copies through its own state methods
+        for twin in (pickle.loads(pickle.dumps(out[0])), copy.copy(out[0]), copy.deepcopy(out[0])):
+            assert type(twin) is BeamScanRecord
+            assert dataclasses.astuple(twin) == dataclasses.astuple(checked[0])
 
     @pytest.mark.parametrize("field, bad, message", [
         ("tx_beam_idx", 20, r"tx_beam_idx must be >= 0 and <= 19 \(the 20 x 20 scan window\)"),

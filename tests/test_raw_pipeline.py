@@ -93,12 +93,12 @@ def warm(campaign):
     aggregate_trials(load_csv(io.StringIO(campaign.RAW_HEADER + "\n6,12,0,0,0,90.0\n")))
 
 
-def traced_peak(call, *args):
-    """The result of `call(*args)` and the peak of the memory it allocated, its
-    arguments not counted."""
+def traced(call, *args):
+    """The result of `call(*args)`, and the memory it allocated: what the result
+    holds and the peak, its arguments not counted."""
     tracemalloc.start()
     try:
-        return call(*args), tracemalloc.get_traced_memory()[1]
+        return call(*args), tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
@@ -112,7 +112,7 @@ def test_parse_holds_one_table(campaign_raw, warm):
     text = campaign_raw[1].read_text(encoding="utf-8")
     with open(campaign_raw[1], newline="", encoding="utf-8") as stream:
         for source in (campaign_raw[1], stream, io.StringIO(text.replace("\n", "\r\n"), "")):
-            table, peak = traced_peak(load_csv, source)
+            table, (_, peak) = traced(load_csv, source)
             assert len(table) == 162_000
             assert peak <= 1.10 * table.nbytes, peak / table.nbytes
 
@@ -121,5 +121,26 @@ def test_aggregation_holds_no_copy_of_the_trials(campaign_raw, warm):
     # the key is built in place and its buffer reused: about three int64
     # columns at once, a little over half the table's six
     table = load_csv(campaign_raw[1])
-    _, peak = traced_peak(aggregate_trials, table)
+    _, (held, peak) = traced(aggregate_trials, table)
     assert peak <= 0.65 * table.nbytes, peak / table.nbytes
+    # 10,800 slotted records of 80 bytes, and their distance, height and mean floats
+    assert held <= 0.25 * table.nbytes, held / table.nbytes
+
+
+@pytest.mark.parametrize("order", ["split point", "shuffled"])
+def test_aggregation_does_not_depend_on_row_order(campaign_raw, order):
+    # numbered once per run of rows, a point split into runs A, B, A, or a run
+    # per row, is still one point, its trials summed in trial order
+    c, raw = campaign_raw
+    table = load_csv(raw)
+    if order == "split point":  # rows are in acquisition order, point by point
+        per_point = len(table) // c.distance_m.size
+        a, b = np.arange(per_point), np.arange(per_point, 2 * per_point)
+        rows = np.concatenate([a[: per_point // 2], b, a[per_point // 2:],
+                               np.arange(2 * per_point, len(table))])
+    else:
+        rows = np.random.default_rng(SEED).permutation(len(table))
+    expected, reordered = aggregate_trials(table), aggregate_trials(table[rows])
+    assert reordered == expected
+    assert [(s.path_loss_db.hex(), s.trial_count) for s in reordered] \
+        == [(s.path_loss_db.hex(), s.trial_count) for s in expected]
