@@ -128,28 +128,16 @@ def _bulk_raw_table(handle, path=None) -> np.ndarray:
     source = name if name and not name.endswith((".gz", ".bz2", ".xz", ".lzma")) else handle
     with warnings.catch_warnings():  # numpy warns of no rows, and of blank lines given max_rows
         warnings.simplefilter("ignore", UserWarning)
-        table = np.loadtxt(source, delimiter=",", dtype=_RAW_DTYPE, comments=None, ndmin=1,
-                           skiprows=1, encoding="utf-8", max_rows=count + 1)
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.23 on: "1.5" read as 1
+        try:
+            table = np.loadtxt(source, delimiter=",", dtype=_RAW_DTYPE, comments=None, ndmin=1,
+                               skiprows=1, encoding="utf-8", max_rows=count + 1)
+        except DeprecationWarning:  # one from numpy's parser comes as a ValueError's cause
+            raise ValueError("left to the row-by-row reader") from None
     if len(table) > count:  # numpy split a line the csv module does not
         raise ValueError("left to the row-by-row reader")
     _check_fields((column, table[column]) for column in RAW_COLUMNS)
     return table
-
-
-def _loadtxt_is_strict() -> bool:
-    """Whether np.loadtxt refuses a float in an integer column, as Python's int
-    does; numpy versions from 1.23 on read "1.5" as 1 with a DeprecationWarning
-    until that deprecation expired."""
-    try:
-        np.loadtxt(["1.5"], dtype="i8")
-    except ValueError:
-        return True
-    except DeprecationWarning:  # raised where warnings are errors
-        pass
-    return False
-
-
-_BULK_PARSE = _loadtxt_is_strict()
 
 
 def _position(stream):
@@ -181,7 +169,7 @@ def _read(source, schemas, path=None) -> np.ndarray:
     if not hasattr(source, "read"):
         with _open_utf8(source) as handle:
             return _read(handle, schemas, source)
-    start = _position(source) if _BULK_PARSE else None
+    start = _position(source)
     rows = csv.reader(source)
     try:
         header = tuple(next(rows, ()))

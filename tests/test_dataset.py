@@ -123,6 +123,34 @@ def raw_text(draw, bad=None):
     return newline.join([RAW_HEADER.rstrip("\n"), *lines]) + newline
 
 
+# spellings of a cell that may not read, or may read out of range: exponents, decimal
+# points, signs, nan and inf, indices past the scan window or the trials, ASCII padding
+MISSPELLINGS = ["{}e0", "{}E-1", "{}.", "{}.5", "-{}", "+-{}", ".", "", "nan", "-NaN", "+inf",
+                "Infinity", "-infinity", "20", "15", "-1", "0", "\x0b{}\x0c", "{}\x1c"]
+
+
+@st.composite
+def raw_text_of_any_rows(draw):
+    """A raw CSV of rows as written or spelled, a few of them misspelled, a
+    field short or a field long, among blank lines and lines of a space; its
+    lines end in LF, CRLF or CR, the last one or not."""
+    cell = draw(st.sampled_from([st.just, spelled]))
+    rows = [[draw(cell(field)) for field in row] for row in draw(st.lists(VALID_ROW, max_size=12))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        change = draw(st.sampled_from(["short", "long", *range(len(row))]))
+        if change == "short":
+            row.pop()
+        elif change == "long":
+            row.append(draw(st.sampled_from(row)))
+        else:
+            row[change] = draw(st.sampled_from(MISSPELLINGS)).format(row[change])
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "", " "])))
+    return raw_lines(lines, draw(st.sampled_from(["\n", "\r\n", "\r"])), final=draw(st.booleans()))
+
+
 # raw rows for the chunk-boundary tests, each valid and ASCII, of several lengths
 CHUNK_ROWS = [f"{d},12,{tx},{rx},{t},{80 + d + rx / 4 + t / 8}"
               for d in (6, 40) for tx, rx in ((0, 0), (19, 7)) for t in range(4)]
@@ -149,12 +177,6 @@ def bulk_outcomes(monkeypatch):
 
     monkeypatch.setattr(dataset, "_bulk_raw_table", spy)
     return outcomes
-
-
-def bulk_parses(*outcomes):
-    """What `bulk_outcomes` records of `outcomes`: none where numpy's lenient
-    integer parser keeps the bulk parse off."""
-    return list(outcomes) if dataset._BULK_PARSE else []
 
 
 class TestBundledFixtures:
@@ -343,6 +365,18 @@ class TestBulkParse:
         assert isinstance(row_by_row, str)
         assert from_path == from_stream == row_by_row
 
+    @settings(deadline=None)
+    @given(text=raw_text_of_any_rows())
+    def test_sources_agree(self, text):
+        # the path and the stream may be parsed in bulk; the unseekable stream never is
+        from_path, from_stream, row_by_row = load_three_ways(text, newline="")
+        if isinstance(row_by_row, str):
+            assert from_path == from_stream == row_by_row
+        else:
+            for table in (from_path, from_stream):
+                assert table.dtype == row_by_row.dtype == dataset._RAW_DTYPE
+                assert table.tolist() == row_by_row.tolist()
+
     def test_finite_over_long_field_is_still_rejected(self):
         # numpy would read this as 1e-200001 -> 0.0; the csv module refuses the field
         text = RAW_HEADER + "6,12,0,0,0,0." + "0" * 200_000 + "1\n"
@@ -364,9 +398,42 @@ class TestBulkParse:
     ])
     def test_bulk_parse_declines_what_it_may_misread(self, bulk_outcomes, row, bulk):
         table = load_csv(raw_csv("6,12,0,0,0,90.0", "", row))
-        assert bulk_outcomes == bulk_parses("parsed" if bulk else "declined")
+        assert bulk_outcomes == ["parsed" if bulk else "declined"]
         trial = 10 if "_" in row else 1
         assert table.tolist() == [(6.0, 12.0, 0, 0, 0, 90.0), (6.0, 12.0, 0, 0, trial, 91.0)]
+
+    @pytest.mark.parametrize("action", ["default", "ignore", "error"])
+    def test_numpy_that_reads_a_float_as_an_integer(self, tmp_path, monkeypatch, bulk_outcomes,
+                                                   action):
+        # numpy 1.23 reads "1.5" in an integer column as 1 and warns of it, under
+        # any warnings filter: the file is declined, and the row-by-row reader
+        # names the row
+        loadtxt = np.loadtxt
+
+        def lenient_loadtxt(fname, dtype, **kwargs):
+            table = loadtxt(fname, dtype=[(name, "f8") for name in dtype.names], **kwargs)
+            if any((table[name] % 1).any() for name in dtype.names if dtype[name].kind == "i"):
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+            return table.astype(dtype)
+
+        monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+        path = tmp_path / "raw.csv"
+        for rows, outcome in ((CHUNK_ROWS, "parsed"), (["6,12,0,0,0,90.0", "6,12,1.5,0,0,90.0"],
+                                                        "declined")):
+            text = raw_lines(rows, "\n")
+            path.write_text(text, encoding="utf-8")
+            bulk_outcomes.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                loaded, row_by_row = load_outcome(path), load_outcome(UnseekableStream(text))
+            assert (bulk_outcomes, caught) == ([outcome], [])
+            if outcome == "declined":
+                assert loaded == row_by_row == ("row 3: column tx_beam_idx: invalid literal "
+                                                "for int() with base 10: '1.5'")
+            else:
+                assert loaded.dtype == row_by_row.dtype == dataset._RAW_DTYPE
+                assert loaded.tolist() == row_by_row.tolist()
 
     def test_file_advanced_by_next_is_read_from_there(self, tmp_path):
         # a text file read by next() cannot tell its position, so it is read row by row
@@ -439,7 +506,7 @@ class TestBulkParse:
             tables = load_three_ways(raw_lines([CHUNK_ROWS[0], row, CHUNK_ROWS[1]], "\r\n"))
         finally:
             csv.field_size_limit(limit)
-        assert bulk_outcomes == bulk_parses(*["parsed" if bulk else "declined"] * 2)
+        assert bulk_outcomes == ["parsed" if bulk else "declined"] * 2
         for table in tables:
             assert table.tolist() == [(6.0, 12.0, 0, 0, 0, 86.0), (6.0, 12.0, 0, 0, 1, 91.0),
                                       (6.0, 12.0, 0, 0, 1, 86.125)]
@@ -453,7 +520,7 @@ class TestBulkParse:
         path = tmp_path / name
         path.write_text(text, encoding="utf-8")
         loaded, row_by_row = load_outcome(path), load_outcome(UnseekableStream(text))
-        assert bulk_outcomes == bulk_parses("parsed" if rows is CHUNK_ROWS else "declined")
+        assert bulk_outcomes == ["parsed" if rows is CHUNK_ROWS else "declined"]
         if isinstance(row_by_row, str):
             assert row_by_row.startswith("row 8: column path_loss_db: ")
             assert loaded == row_by_row
@@ -537,7 +604,7 @@ class TestTextEncoding:
         path = tmp_path / "raw.csv"
         path.write_bytes(codecs.BOM_UTF8 + text.encode())
         table, row_by_row = load_csv(path), load_csv(UnseekableStream(text))
-        assert bulk_outcomes == bulk_parses("parsed")
+        assert bulk_outcomes == ["parsed"]
         assert table.dtype == row_by_row.dtype == dataset._RAW_DTYPE
         assert table.tolist() == row_by_row.tolist()
 

@@ -15,7 +15,6 @@ import pytest
 from a2a60 import (
     AggregatedPoint,
     aggregate_trials,
-    dataset,
     fit_misalignment_table,
     load_csv,
     rank_beam_pairs,
@@ -103,8 +102,6 @@ def traced(call, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.skipif(not dataset._BULK_PARSE,
-                    reason="this numpy reads a float into an integer column: raw files load row by row")
 def test_parse_holds_one_table(campaign_raw, warm):
     # the bulk parse is one np.loadtxt call, its table sized by a count of line
     # breaks (a "\r\n" is one): numpy reads a path in chunks, and a stream a line
@@ -115,6 +112,20 @@ def test_parse_holds_one_table(campaign_raw, warm):
             table, (_, peak) = traced(load_csv, source)
             assert len(table) == 162_000
             assert peak <= 1.10 * table.nbytes, peak / table.nbytes
+
+
+class UnseekableStream(io.StringIO):
+    """A stream the bulk parse cannot rewind, so it is read row by row."""
+
+    def seekable(self):
+        return False
+
+
+def test_row_by_row_reader_loads_the_campaign_as_the_bulk_parse_does(campaign_raw):
+    text = campaign_raw[1].read_text(encoding="utf-8")
+    table, row_by_row = load_csv(campaign_raw[1]), load_csv(UnseekableStream(text, ""))
+    assert table.dtype == row_by_row.dtype
+    assert table.tobytes() == row_by_row.tobytes()
 
 
 def test_aggregation_holds_no_copy_of_the_trials(campaign_raw, warm):
