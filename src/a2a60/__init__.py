@@ -12,7 +12,6 @@ from .beams import (
     BeamScanRecord,
     MisalignmentTable,
     beam_angle,
-    displacement,
     fit_misalignment_table,
     misalignment_loss,
     rank_beam_pairs,
@@ -57,7 +56,6 @@ __all__ = [
     "ScenarioParams",
     "aggregate_trials",
     "beam_angle",
-    "displacement",
     "fit_ci",
     "fit_fi",
     "fit_misalignment_table",

@@ -3,8 +3,8 @@
 Per measurement point the sounders scan a 20 x 20 window of (TX, RX) beam
 pairs; sorting those by measured path loss gives rank 1 = best pair. Fitting
 a path-loss law per rank turns suboptimal beam choices into a distance law
-whose raised intercept absorbs the lost beamforming gain, and the angular
-displacement metric says how far off boresight-best those choices were.
+whose raised intercept absorbs the lost beamforming gain, and each rank's
+mean angular offset from the best pair says how far off those choices were.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
+
+import numpy as np
 
 from . import published
 from .fitting import fit_ci, fit_fi
@@ -104,29 +106,9 @@ def beam_angle(beam_idx: int, window_size: int = SCAN_WINDOW_BEAMS) -> float:
     return (beam_idx - (window_size - 1) / 2.0) * BEAM_SPACING_DEG
 
 
-def displacement(rankings: list[BeamPairRanking], rank: int) -> float:
-    """Mean summed TX+RX angular offset of the rank-i pair from the best pair.
-
-    Offsets are index differences times the beam spacing, so the result does
-    not depend on where the scan window sits in the full codebook. Rank 1 is
-    0 by definition.
-    """
-    _check_finite("rank", rank, ge=1)
-    if rank == 1:
-        return 0.0
-    if not rankings:
-        raise ValueError("no rankings supplied")
-    total = 0.0
-    for ranking in rankings:
-        tx1, rx1, _ = ranking.pair_at(1)
-        txi, rxi, _ = ranking.pair_at(rank)
-        total += (abs(tx1 - txi) + abs(rx1 - rxi)) * BEAM_SPACING_DEG
-    return total / len(rankings)
-
-
 @dataclass(frozen=True)
 class MisalignmentTable:
-    """Per-rank mean path-loss models plus each rank's angular displacement.
+    """Per-rank mean path-loss models plus each rank's mean offset from the best pair.
 
     Index 0 of both tuples is rank 1 (best pair, close-in model); later ranks
     carry floating-intercept models whose raised intercepts absorb the
@@ -144,7 +126,7 @@ class MisalignmentTable:
         if not isinstance(self.models[0], CiModel):
             raise ValueError("rank 1 must carry a close-in model")
         if self.delta_deg[0] != 0.0:
-            raise ValueError("rank 1 displacement must be 0")
+            raise ValueError("rank 1 delta_deg must be 0")
         for delta in self.delta_deg:
             _check_finite("delta_deg", delta, ge=0.0, unit="deg")
 
@@ -165,17 +147,20 @@ def misalignment_loss(table: MisalignmentTable, rank: int, distance_m: float) ->
 def fit_misalignment_table(rankings: list[BeamPairRanking], freq_ghz: float,
                            max_rank: int = 9) -> MisalignmentTable:
     """Build a misalignment table from beam-level rankings: a close-in fit of
-    the best-pair losses, floating-intercept fits of ranks 2..max_rank, and
-    displacement averages over all supplied rankings."""
+    the best-pair losses, floating-intercept fits of ranks 2..max_rank, and each
+    rank's delta, the mean summed TX+RX offset of its pair from the best pair.
+    Offsets are beam-index differences times the beam spacing, so delta does not
+    depend on where the scan window sits in the full codebook."""
     _check_finite("max_rank", max_rank, ge=1)
-    models: list[CiModel | FiModel] = []
-    deltas = [0.0]
+    for r in rankings:
+        r.pair_at(max_rank)  # a short ranking is an error naming its point
+    # (tx, rx, loss) of each ranking's best max_rank pairs, in rank order
+    pairs = np.array([r.pairs[:max_rank] for r in rankings], float).reshape(-1, max_rank, 3)
     distances = [r.distance_m for r in rankings]
-    models.append(fit_ci(distances, [r.pair_at(1)[2] for r in rankings], freq_ghz).model)
-    for rank in range(2, max_rank + 1):
-        models.append(fit_fi(distances, [r.pair_at(rank)[2] for r in rankings]).model)
-        deltas.append(displacement(rankings, rank))
-    return MisalignmentTable(tuple(models), tuple(deltas))
+    models = [fit_ci(distances, pairs[:, 0, 2], freq_ghz).model]
+    models += [fit_fi(distances, pairs[:, i, 2]).model for i in range(1, max_rank)]
+    deltas = np.abs(pairs[:, :, :2] - pairs[:, :1, :2]).sum(axis=2) * BEAM_SPACING_DEG
+    return MisalignmentTable(tuple(models), tuple(deltas.mean(axis=0).tolist()))
 
 
 # As-fitted parameters of the published per-rank models, recovered at full

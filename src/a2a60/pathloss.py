@@ -142,6 +142,7 @@ def _draw_blocks(model: CiModel | FiModel, distance_m: float, n: int, seed: int,
     """The draws of `sample_pl` in checked arrays of up to `block` (default all)
     values, yielded afresh by each call of the function it returns."""
     _check_finite("n", n, ge=0)
+    _check_finite("seed", seed, ge=0)
     n, mu = int(n), mean_pl(model, distance_m)
     block = block or max(n, 1)
 

@@ -12,7 +12,6 @@ from a2a60 import (
     FiModel,
     MisalignmentTable,
     beam_angle,
-    displacement,
     fit_misalignment_table,
     friis_reference_pl,
     misalignment_loss,
@@ -148,6 +147,10 @@ class TestRankBeamPairs:
 
 
 class TestDisplacement:
+    """Table 3's delta column, `fit_misalignment_table(...).delta_deg`. Its FI fits
+    need two distinct distances, so each ranking is also fitted at twice its
+    distance with the same losses; delta does not depend on distance."""
+
     def base_losses(self, best=(10, 10), second=(11, 10)):
         losses = {best: 80.0, second: 82.0}
         pl = 84.0
@@ -158,51 +161,50 @@ class TestDisplacement:
                     pl += 0.25
         return losses
 
+    def deltas(self, points, max_rank=9):
+        """delta_deg of the table fitted on a ranking of each (d, h, {(tx, rx): loss})
+        at d and at 2d."""
+        rankings = [synthetic_ranking(k * d, h, losses) for d, h, losses in points
+                    for k in (1, 2)]
+        return fit_misalignment_table(rankings, 60.48, max_rank=max_rank).delta_deg
+
     def test_rank_one_is_zero(self):
-        rankings = [synthetic_ranking(6.0, 6.0, self.base_losses())]
-        assert displacement(rankings, 1) == 0.0
+        assert self.deltas([(6.0, 6.0, self.base_losses())])[0] == 0.0
 
     def test_constant_offset_across_rankings(self):
-        rankings = [
-            synthetic_ranking(d, 6.0, {(5, 5): 80.0 + d, (6, 7): 83.0 + d})
-            for d in (6.0, 12.0)
-        ]
+        points = [(d, 6.0, {(5, 5): 80.0 + d, (6, 7): 83.0 + d}) for d in (6.0, 12.0)]
         # rank 2 is (6, 7) everywhere: offset of 1 tx + 2 rx beams
-        assert displacement(rankings, 2) == pytest.approx(3 * BEAM_SPACING_DEG, abs=1e-12)
+        assert self.deltas(points, max_rank=2)[1] == pytest.approx(3 * BEAM_SPACING_DEG,
+                                                                   abs=1e-12)
 
     def test_adjacent_beam_displacement(self):
-        rankings = [
-            synthetic_ranking(d, h, self.base_losses())
-            for d in (6.0, 12.0, 18.0)
-            for h in (6.0, 12.0)
-        ]
-        assert displacement(rankings, 2) == pytest.approx(1.4, abs=1e-12)
+        points = [(d, h, self.base_losses()) for d in (6.0, 12.0, 18.0) for h in (6.0, 12.0)]
+        assert self.deltas(points, max_rank=2)[1] == pytest.approx(1.4, abs=1e-12)
 
     def test_single_ranking_multiples_of_spacing(self):
-        ranking = synthetic_ranking(6.0, 6.0, self.base_losses(second=(13, 8)))
+        deltas = self.deltas([(6.0, 6.0, self.base_losses(second=(13, 8)))])
         for rank in range(2, 10):
-            value = displacement([ranking], rank)
+            value = deltas[rank - 1]
             assert value >= 0.0
             assert value / BEAM_SPACING_DEG == pytest.approx(round(value / BEAM_SPACING_DEG), abs=1e-9)
 
     def test_invariant_under_uniform_relabeling(self):
         base = self.base_losses()
         shifted = {(tx + 4, rx + 4): pl for (tx, rx), pl in base.items()}
-        r1 = [synthetic_ranking(6.0, 6.0, base)]
-        r2 = [synthetic_ranking(6.0, 6.0, shifted)]
+        d1 = self.deltas([(6.0, 6.0, base)])
+        d2 = self.deltas([(6.0, 6.0, shifted)])
         for rank in (2, 3, 5):
-            assert displacement(r1, rank) == pytest.approx(displacement(r2, rank), abs=1e-12)
+            assert d1[rank - 1] == pytest.approx(d2[rank - 1], abs=1e-12)
 
     def test_short_ranking_names_the_key(self):
-        rankings = [synthetic_ranking(33.0, 15.0, {(0, 0): 90.0, (1, 0): 91.0})]
         with pytest.raises(ValueError, match="33"):
-            displacement(rankings, 3)
+            self.deltas([(33.0, 15.0, {(0, 0): 90.0, (1, 0): 91.0})], max_rank=3)
 
     def test_invalid_rank_and_empty_input(self):
         with pytest.raises(ValueError):
-            displacement([synthetic_ranking(6.0, 6.0, {(0, 0): 90.0})], 0)
+            self.deltas([(6.0, 6.0, {(0, 0): 90.0})], max_rank=0)
         with pytest.raises(ValueError):
-            displacement([], 2)
+            fit_misalignment_table([], 60.48, max_rank=2)
 
 
 class TestPublishedTable:
@@ -264,6 +266,10 @@ class TestTableValidation:
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):
             MisalignmentTable((CiModel(60.48, 2.25),), (0.0, 1.4))
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="^table must cover at least rank 1$"):
+            MisalignmentTable((), ())
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):

@@ -541,6 +541,11 @@ class TestSampleHelper:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_negative_seed_fails_before_the_helper_starts(self, run_cli, spawns):
+        result = run_cli("sample", "--distance", "20", "--n", "100000", "--seed", "-1")
+        assert result == (1, "", "error: seed must be >= 0, got -1\n")
+        assert spawns == []
+
     def test_helper_that_exits_early_is_a_diagnostic(self, run_cli, monkeypatch, spawns):
         monkeypatch.setattr(cli, "_HELPER", "import os; os._exit(3)")
         result = run_cli("sample", "--distance", "20", "--n", "100000", "--seed", "1")

@@ -279,6 +279,10 @@ class TestSamplePl:
         with pytest.raises(ValueError):
             sample_pl(CiModel(60.48, 2.25, 3.56), 10.0, -1, seed=1)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            sample_pl(CiModel(60.48, 2.25, 3.56), 10.0, 5, seed=-1)
+
     def test_bit_identical_for_same_seed(self):
         model = FiModel(67.03, 2.33, 3.52)
         a = sample_pl(model, 20.0, 1000, seed=20200925)

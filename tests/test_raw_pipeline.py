@@ -20,6 +20,7 @@ from a2a60 import (
     rank_beam_pairs,
     save_aggregated_csv,
 )
+from a2a60.beams import BEAM_SPACING_DEG
 from a2a60.dataset import MEASUREMENTS_FILE, fixture_path
 
 CAMPAIGN = Path(__file__).resolve().parents[1] / "bench" / "campaign.py"
@@ -76,6 +77,17 @@ def test_campaign_pipeline_matches_reference(campaign, campaign_raw, tmp_path):
         order = [tx * campaign.WINDOW + rx for tx, rx, _ in ranking.pairs]
         assert order == c.order[index[(ranking.distance_m, ranking.height_m)]].tolist()
     assert abs(table.model_for(1).ple - c.rank1_ple) <= TOLERANCE
+    for rank in range(2, campaign.MAX_RANK + 1):
+        model, expected = table.model_for(rank), campaign.fi_fit(c.distance_m, c.rank_points(rank))
+        for field in ("intercept_db", "ple", "sigma_db"):
+            assert abs(getattr(model, field) - expected[field]) <= TOLERANCE, (rank, field)
+    # delta: the summed tx and rx index offsets from the best pair, times the
+    # beam spacing, averaged over the points; pair p is (p // WINDOW, p % WINDOW)
+    tx, rx = np.divmod(c.order[:, :campaign.MAX_RANK], campaign.WINDOW)
+    offsets = np.abs(tx - tx[:, :1]) + np.abs(rx - rx[:, :1])
+    delta = (offsets * BEAM_SPACING_DEG).mean(axis=0)
+    assert len(table.delta_deg) == campaign.MAX_RANK
+    assert np.abs(np.array(table.delta_deg) - delta).max() <= TOLERANCE
 
     with open(tmp_path / "aggregated.csv", newline="", encoding="utf-8") as handle:
         rows = list(csv.DictReader(handle))
