@@ -28,11 +28,11 @@ _FIELD_RANGES = {
     "distance_m": dict(gt=0.0, unit="m"),
     "height_m": dict(gt=0.0, unit="m"),
     "path_loss_db": {},
-    "tx_beam_idx": dict(ge=0, le=SCAN_WINDOW_BEAMS - 1, note=_WINDOW_NOTE),
-    "rx_beam_idx": dict(ge=0, le=SCAN_WINDOW_BEAMS - 1, note=_WINDOW_NOTE),
-    "trial_idx": dict(ge=0, le=published.TRIALS_PER_SCAN - 1),
-    "trial_count": dict(ge=1, le=published.TRIALS_PER_SCAN),
-    "rank": dict(ge=1, le=SCAN_WINDOW_BEAMS ** 2),
+    "tx_beam_idx": dict(ge=0, le=SCAN_WINDOW_BEAMS - 1, whole=True, note=_WINDOW_NOTE),
+    "rx_beam_idx": dict(ge=0, le=SCAN_WINDOW_BEAMS - 1, whole=True, note=_WINDOW_NOTE),
+    "trial_idx": dict(ge=0, le=published.TRIALS_PER_SCAN - 1, whole=True),
+    "trial_count": dict(ge=1, le=published.TRIALS_PER_SCAN, whole=True),
+    "rank": dict(ge=1, le=SCAN_WINDOW_BEAMS ** 2, whole=True),
 }
 
 
@@ -75,9 +75,9 @@ class BeamPairRanking:
 
     def pair_at(self, rank: int) -> tuple[int, int, float]:
         """1-based access: pair_at(1) is the best beam pair."""
-        _check_finite("rank", rank, ge=1, le=len(self.pairs),
+        _check_finite("rank", rank, ge=1, le=len(self.pairs), whole=True,
                       note=f" (the pairs ranked at d={self.distance_m} m, h={self.height_m} m)")
-        return self.pairs[rank - 1]
+        return self.pairs[int(rank) - 1]
 
 
 def rank_beam_pairs(records: list[BeamScanRecord]) -> BeamPairRanking:
@@ -102,7 +102,8 @@ def rank_beam_pairs(records: list[BeamScanRecord]) -> BeamPairRanking:
 
 def beam_angle(beam_idx: int, window_size: int = SCAN_WINDOW_BEAMS) -> float:
     """Beam direction in degrees relative to boresight, window centered on 0."""
-    _check_finite("beam_idx", beam_idx, ge=0, le=window_size - 1, note=" (the scan window)")
+    _check_finite("beam_idx", beam_idx, ge=0, le=window_size - 1, whole=True,
+                  note=" (the scan window)")
     return (beam_idx - (window_size - 1) / 2.0) * BEAM_SPACING_DEG
 
 
@@ -135,8 +136,8 @@ class MisalignmentTable:
         return len(self.models)
 
     def model_for(self, rank: int) -> CiModel | FiModel:
-        _check_finite("rank", rank, ge=1, le=self.max_rank)
-        return self.models[rank - 1]
+        _check_finite("rank", rank, ge=1, le=self.max_rank, whole=True)
+        return self.models[int(rank) - 1]
 
 
 def misalignment_loss(table: MisalignmentTable, rank: int, distance_m: float) -> float:
@@ -151,7 +152,8 @@ def fit_misalignment_table(rankings: list[BeamPairRanking], freq_ghz: float,
     rank's delta, the mean summed TX+RX offset of its pair from the best pair.
     Offsets are beam-index differences times the beam spacing, so delta does not
     depend on where the scan window sits in the full codebook."""
-    _check_finite("max_rank", max_rank, ge=1)
+    _check_finite("max_rank", max_rank, ge=1, whole=True)
+    max_rank = int(max_rank)
     for r in rankings:
         r.pair_at(max_rank)  # a short ranking is an error naming its point
     # (tx, rx, loss) of each ranking's best max_rank pairs, in rank order

@@ -29,6 +29,7 @@ from . import published
 from .dataset import (
     AGGREGATED_COLUMNS,
     RANK_FILES,
+    _check_schema,
     load_csv,
     load_measurement_points,
     load_rank_points,
@@ -97,13 +98,7 @@ def _read_points(args):
     """Aggregated points from --input or the bundled fixture; raw trials are rejected."""
     if not args.input:
         return load_measurement_points()
-    points = load_csv(args.input)
-    if points.dtype.names != AGGREGATED_COLUMNS:
-        raise ValueError(
-            f"{args.command} expects the aggregated schema "
-            "(distance_m,height_m,rank,path_loss_db); aggregate raw trials first"
-        )
-    return points
+    return _check_schema(load_csv(args.input), AGGREGATED_COLUMNS, args.command)
 
 
 def _selection(args, flag, convert):

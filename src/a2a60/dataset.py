@@ -49,8 +49,8 @@ _RAW_DTYPE = np.dtype([(name, "i8" if name.endswith("_idx") else "f8") for name 
 _AGGREGATED_DTYPE = np.dtype([(name, "i8" if name == "rank" else "f8")
                               for name in AGGREGATED_COLUMNS])
 _CURVE_DTYPE = np.dtype([(name, object if name == "curve" else "f8") for name in CURVE_COLUMNS])
-# the points an int64 key of aggregate_trials tells apart, at one value per trial of a pair
-_MAX_POINTS = ((1 << 63) - 1) // math.prod(_FIELD_RANGES[n]["le"] + 1 for n in RAW_COLUMNS[2:5])
+_BATCH_ROWS = 1 << 13  # aggregate_trials averages whole points, at most this many rows at a time
+_PAIRS_PER_POINT = math.prod(_FIELD_RANGES[n]["le"] + 1 for n in RAW_COLUMNS[2:4])  # (tx, rx)
 _BULK_CHUNK = 1 << 18  # characters per read of the bulk parse's first pass
 # ASCII separators numpy's parser strips as whitespace but Python's float and int reject
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
@@ -231,60 +231,79 @@ def load_csv(source) -> np.ndarray:
 
 
 def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
-    """Average the raw-trial table from `load_csv` per (distance, height, tx,
-    rx) beam pair, in that order.
-
-    Missing trials are tolerated; `trial_count` reports how many were
-    averaged. A trial index repeated within one pair is an error. Each pair's
-    trials are summed in trial order, so the result does not depend on row
-    order. Each column, and the column of means (a sum of finite trials can
-    overflow), is checked once by its extremes; the records trust those checks.
-    """
+    """Average the raw-trial table from `load_csv` per (distance, height, tx, rx) beam
+    pair, in that order, a batch of whole points at a time. Missing trials are tolerated;
+    `trial_count` reports how many were averaged. A trial index repeated within one pair
+    is an error, raised before that of any mean that is not finite (a sum of finite trials
+    can overflow). Each pair's trials are summed in trial order, whatever the row order."""
+    _check_schema(trials, RAW_COLUMNS, "aggregate_trials")
     _check_fields((name, trials[name]) for name in RAW_COLUMNS)
-    opens = np.zeros(len(trials), bool)  # where a run of rows at one (distance, height) opens
-    opens[:1] = True
-    for name in RAW_COLUMNS[:2]:
-        opens[1:] |= trials[name][1:] != trials[name][:-1]
-    starts = np.flatnonzero(opens)
-    del opens
-    key = np.zeros(len(starts), np.int64)  # per run, then per row: its point, tx, rx, trial
+    starts = [np.zeros(min(len(trials), 1), np.intp)]  # where each run of rows at one point opens
+    for i in range(1, len(trials), _BATCH_ROWS):
+        d, h = (trials[name][i - 1:i + _BATCH_ROWS] for name in RAW_COLUMNS[:2])
+        starts.append(np.flatnonzero((d[1:] != d[:-1]) | (h[1:] != h[:-1])) + i)
+    starts = np.concatenate(starts)
+    point = np.zeros(len(starts), np.int64)  # per run, a number that orders points by (d, h)
     for name in RAW_COLUMNS[:2]:  # counts keep np.unique off its hash path, which imports numpy.ma
         runs = trials[name][starts]
         values = np.unique(runs, return_counts=True)[0]
-        key *= values.size
-        key += np.searchsorted(values, runs)
-    if key.max(initial=0) >= _MAX_POINTS:  # number only the points present, to fit int64
-        key = np.unique(key, return_inverse=True)[1]
-    key = np.repeat(key, np.diff(starts, append=len(trials)))
-    for name in RAW_COLUMNS[2:5]:  # each index is in range: a key repeats only with a trial
-        key *= _FIELD_RANGES[name]["le"] + 1
-        key += trials[name]
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    repeated = np.flatnonzero(key[1:] == key[:-1])
-    if repeated.size:
-        d, h, tx, rx, trial, _ = trials[order[repeated[0] + 1]].tolist()
-        raise ValueError(f"duplicate trial {trial} of beam pair ({tx}, {rx}) at (d={d} m, h={h} m)")
-    key //= _FIELD_RANGES["trial_idx"]["le"] + 1  # now per pair
-    first = np.ones(len(key), bool)  # opens a pair
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    group = np.cumsum(first, out=key)  # key's buffer, no longer needed
-    group -= 1
-    counts = np.bincount(group)
-    means = np.bincount(group, weights=trials["path_loss_db"][order]) / counts
-    pairs = trials[order[first]]
-    del key, order, first, group
-    overflow = np.flatnonzero(~np.isfinite(means))
-    if overflow.size:
-        d, h, tx, rx, _, _ = pairs[overflow[0]].tolist()
-        raise ValueError(f"mean path loss of beam pair ({tx}, {rx}) at (d={d} m, h={h} m) "
-                         "is not finite")
-    # checked above, by column: a field of every record at a time, in field order, by its slot
-    records = list(map(object.__new__, repeat(BeamScanRecord, len(pairs))))
-    for name, column in zip(BeamScanRecord.__slots__, (*(pairs[name] for name in RAW_COLUMNS[:4]),
-                                                       means, counts)):
-        deque(map(getattr(BeamScanRecord, name).__set__, records, column.tolist()), 0)
+        point *= values.size
+        point += np.searchsorted(values, runs)
+    by_point = np.argsort(point)  # the runs in point order, as they stand from here on
+    starts, lengths = starts[by_point], np.diff(starts, append=len(trials))[by_point]
+    opens = np.diff(point[by_point], prepend=-1) != 0  # where a point's first run stands
+    point, heads = np.cumsum(opens) - 1, np.flatnonzero(opens)  # point: 0, 1, ... per run
+    shared = [trials[n][starts[heads]].astype(object) for n in RAW_COLUMNS[:2]]  # a float per point
+    before = np.cumsum(lengths) - lengths  # the rows before each run
+    # per point, its first run and the rows before it; then the end of both
+    heads, ahead = np.append(heads, len(opens)), np.append(before[heads], len(trials))
+    records, overflow, a = [], None, 0
+    while a < len(heads) - 1:  # a batch: points a to b - 1, and their runs r
+        b = max(np.searchsorted(ahead, ahead[a] + _BATCH_ROWS, "right") - 1, a + 1)
+        r = slice(heads[a], heads[b])
+        rows = np.repeat(starts[r] - before[r], lengths[r])
+        rows += np.arange(ahead[a], ahead[b])
+        key = np.repeat(point[r] - a, lengths[r])  # per row: its point in the batch, tx, rx, trial
+        for name in RAW_COLUMNS[2:5]:  # each index is in range: a key repeats only with a trial
+            key *= _FIELD_RANGES[name]["le"] + 1
+            key += trials[name][rows]
+        order = np.argsort(key)  # keys repeat only in an error, whose message they share
+        key, rows = key[order], rows[order]
+        repeated = np.flatnonzero(key[1:] == key[:-1])
+        if repeated.size:
+            d, h, tx, rx, trial, _ = trials[rows[repeated[0] + 1]].tolist()
+            raise ValueError(f"duplicate trial {trial} of beam pair ({tx}, {rx}) at (d={d} m, h={h} m)")
+        key //= _FIELD_RANGES["trial_idx"]["le"] + 1  # now per pair
+        first = np.concatenate(([True], key[1:] != key[:-1]))  # opens a pair
+        group = np.cumsum(first) - 1
+        counts = np.bincount(group)
+        means = np.bincount(group, weights=trials["path_loss_db"][rows]) / counts
+        pairs = rows[first]  # a row of each pair
+        bad = np.flatnonzero(~np.isfinite(means))
+        if bad.size and not overflow:  # raised once no later batch repeats a trial
+            d, h, tx, rx, _, _ = trials[pairs[bad[0]]].tolist()
+            overflow = f"mean path loss of beam pair ({tx}, {rx}) at (d={d} m, h={h} m) is not finite"
+        place = key[first] // _PAIRS_PER_POINT + a
+        # checked above, by column: a field of every record at a time, in field order, by its slot
+        batch = list(map(object.__new__, repeat(BeamScanRecord, len(pairs))))
+        columns = (*(f[place] for f in shared), *(trials[name][pairs] for name in RAW_COLUMNS[2:4]),
+                   means, counts)
+        for name, column in zip(BeamScanRecord.__slots__, columns):
+            deque(map(getattr(BeamScanRecord, name).__set__, batch, column.tolist()), 0)
+        records += batch
+        a = b
+    if overflow:
+        raise ValueError(overflow)
     return records
+
+
+def _check_schema(table: np.ndarray, columns, user: str) -> np.ndarray:
+    """`table`, if `columns` are its fields; else a ValueError naming the schema `user` expects."""
+    if table.dtype.names != columns:
+        raw = columns == RAW_COLUMNS
+        raise ValueError(f"{user} expects the {'raw-trial' if raw else 'aggregated'} schema "
+                         f"({','.join(columns)}){'' if raw else '; aggregate raw trials first'}")
+    return table
 
 
 def to_fit_points(points: np.ndarray, height="all", rank="all") -> tuple[np.ndarray, np.ndarray]:
@@ -295,11 +314,12 @@ def to_fit_points(points: np.ndarray, height="all", rank="all") -> tuple[np.ndar
     number, None naming the best pair as 1 does. Raises EmptySelectionError
     if nothing matches.
     """
+    _check_schema(points, AGGREGATED_COLUMNS, "to_fit_points")
     selected = np.ones(len(points), dtype=bool)
     if height != "all":
         selected &= points["height_m"] == float(height)
     if rank != "all":
-        number = 1 if rank is None else int(rank)
+        number = 1 if rank is None else rank
         _check_fields((("rank", number),))
         selected &= points["rank"] == number
     if not selected.any():

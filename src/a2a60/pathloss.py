@@ -20,20 +20,22 @@ REFERENCE_DISTANCE_M = 1.0
 
 
 def _check_finite(name: str, value, *, gt=-math.inf, ge=-math.inf, le=math.inf,
-                  unit: str = "", note: str = "") -> None:
-    """The one range check of the package: raise a ValueError naming `name`
-    unless `value` is finite, above `gt`, and within [`ge`, `le`]. A 1-D array
-    (a column) passes if its extremes (NaN among them) do, as every valid range
-    is an interval; an empty one passes. `unit` and `note` only shape the message."""
+                  whole: bool = False, unit: str = "", note: str = "") -> None:
+    """The one range check of the package: raise a ValueError naming `name` unless
+    `value` is finite, above `gt`, within [`ge`, `le`] and, if `whole`, a whole number.
+    A 1-D array (a column, whole or not by its dtype) passes if its extremes (NaN among
+    them) do, as every valid range is an interval. `unit` and `note` shape the message."""
     if isinstance(value, np.ndarray):
         for extreme in (np.min, np.max) if value.size else ():
             _check_finite(name, extreme(value).item(), gt=gt, ge=ge, le=le, unit=unit, note=note)
         return
     # NaN fails every comparison; math.isfinite is avoided because it overflows on huge ints
-    if gt < value < math.inf and ge <= value <= le:
+    if gt < value < math.inf and ge <= value <= le and not (whole and value % 1):
         return
     if not -math.inf < value < math.inf:
         raise ValueError(f"{name} must be finite, got {value}")
+    if whole and value % 1:
+        raise ValueError(f"{name} must be a whole number, got {value}")
     unit = f" {unit}" if unit else ""
     bounds = " and ".join(f"{op} {bound:.15g}{unit}"
                           for op, bound in ((">", gt), (">=", ge), ("<=", le))
@@ -141,9 +143,9 @@ def sample_pl(model: CiModel | FiModel, distance_m: float, n: int, seed: int) ->
 def _draw_blocks(model: CiModel | FiModel, distance_m: float, n: int, seed: int, block=None):
     """The draws of `sample_pl` in checked arrays of up to `block` (default all)
     values, yielded afresh by each call of the function it returns."""
-    _check_finite("n", n, ge=0)
-    _check_finite("seed", seed, ge=0)
-    n, mu = int(n), mean_pl(model, distance_m)
+    _check_finite("n", n, ge=0, whole=True)
+    _check_finite("seed", seed, ge=0, whole=True)
+    n, seed, mu = int(n), int(seed), mean_pl(model, distance_m)
     block = block or max(n, 1)
 
     def blocks():

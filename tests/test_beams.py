@@ -315,3 +315,30 @@ class TestFitMisalignmentTable:
     def test_rejects_bad_max_rank(self):
         with pytest.raises(ValueError):
             fit_misalignment_table(self.make_rankings(), 60.48, max_rank=0)
+
+
+# two rankings of three pairs, at two distances (the FI fits need two)
+WHOLE_RANKINGS = [synthetic_ranking(d, 6.0, {(0, 0): 60.0 + d, (1, 0): 62.0 + d, (2, 1): 65.0 + d})
+                  for d in (6.0, 12.0)]
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda v: WHOLE_RANKINGS[0].pair_at(v), "rank"),
+    (lambda v: PUBLISHED_TABLE.model_for(v), "rank"),
+    (lambda v: misalignment_loss(PUBLISHED_TABLE, v, 20.0), "rank"),
+    (lambda v: fit_misalignment_table(WHOLE_RANKINGS, 60.48, max_rank=v), "max_rank"),
+    (lambda v: beam_angle(v), "beam_idx"),
+    (lambda v: BeamScanRecord(6.0, 12.0, v, 0, 90.0), "tx_beam_idx"),
+    (lambda v: BeamScanRecord(6.0, 12.0, 0, v, 90.0), "rx_beam_idx"),
+    (lambda v: BeamScanRecord(6.0, 12.0, 0, 0, 90.0, v), "trial_count"),
+], ids=["pair_at", "model_for", "misalignment_loss", "fit_misalignment_table", "beam_angle",
+        "record_tx_beam_idx", "record_rx_beam_idx", "record_trial_count"])
+def test_integer_input_must_be_whole(call, name):
+    # a numpy integer or a whole float gives what the Python int gives; any other
+    # number is a ValueError naming the input, not a TypeError or a truncation
+    expected = call(2)
+    for whole in (np.int64(2), 2.0, np.float64(2.0)):
+        assert call(whole) == expected
+    for bad in (1.5, 2.5, np.float64(1.25)):
+        with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got {bad}$"):
+            call(bad)

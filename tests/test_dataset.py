@@ -17,6 +17,7 @@ import urllib.request
 import warnings
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -818,11 +819,11 @@ class TestAggregateTrials:
         with pytest.raises(ValueError, match=message):
             aggregate_trials(table)
 
-    @pytest.mark.parametrize("max_points", [dataset._MAX_POINTS, 50])
-    def test_distinct_distances_and_heights(self, monkeypatch, max_points):
-        # with max_points low, the (distance, height) grid is too large for one
-        # key and only the points present are numbered
-        monkeypatch.setattr(dataset, "_MAX_POINTS", max_points)
+    @pytest.mark.parametrize("batch_rows", [dataset._BATCH_ROWS, 50])
+    def test_distinct_distances_and_heights(self, monkeypatch, batch_rows):
+        # 600 points of a row or two each, the (distance, height) grid 600 x 600:
+        # in one batch, or in batches of at most 50 rows
+        monkeypatch.setattr(dataset, "_BATCH_ROWS", batch_rows)
         rng = np.random.default_rng(3)
         n = 600
         table = np.zeros(n, dataset._RAW_DTYPE)
@@ -840,6 +841,110 @@ class TestAggregateTrials:
                                            for key, pl in sorted(expected.items())]
 
 
+def reference_aggregate(rows):
+    """`aggregate_trials` of `rows`, (d, h, tx, rx, trial, pl) tuples, as (d, h, tx, rx,
+    mean.hex(), count) tuples in pure Python: each pair's trials summed in trial order.
+    Errors are the same ValueError: the first repeated trial, else the first mean that
+    is not finite, in (point, tx, rx, trial) order."""
+    pairs = {}
+    for d, h, tx, rx, trial, pl in rows:
+        pairs.setdefault((d, h, tx, rx), {}).setdefault(trial, []).append(pl)
+    for (d, h, tx, rx), trials in sorted(pairs.items()):
+        for trial, values in sorted(trials.items()):
+            if len(values) > 1:
+                raise ValueError(f"duplicate trial {trial} of beam pair ({tx}, {rx}) "
+                                 f"at (d={d} m, h={h} m)")
+    out = []
+    for (d, h, tx, rx), trials in sorted(pairs.items()):
+        total = 0.0
+        for _, (pl,) in sorted(trials.items()):
+            total += pl
+        mean = total / len(trials)
+        if not math.isfinite(mean):
+            raise ValueError(f"mean path loss of beam pair ({tx}, {rx}) at (d={d} m, h={h} m) "
+                             "is not finite")
+        out.append((d, h, tx, rx, mean.hex(), len(trials)))
+    return out
+
+
+def outcome(aggregate, rows):
+    """The records of `aggregate(rows)` as `reference_aggregate` gives them, or its
+    ValueError's message."""
+    try:
+        return aggregate(rows)
+    except ValueError as exc:
+        return str(exc)
+
+
+def aggregated(rows, batch_rows):
+    """`aggregate_trials` of `rows`, averaged in batches of at most `batch_rows` rows
+    (or of one larger point)."""
+    with mock.patch.object(dataset, "_BATCH_ROWS", batch_rows):
+        records = aggregate_trials(np.array(rows, dataset._RAW_DTYPE))
+    return [(r.distance_m, r.height_m, r.tx_beam_idx, r.rx_beam_idx, r.path_loss_db.hex(),
+             r.trial_count) for r in records]
+
+
+@st.composite
+def raw_rows(draw):
+    """Shuffled raw rows of a few points: trials missing, points split into runs, and
+    at times a repeated trial or a pair whose trials overflow."""
+    points = draw(st.lists(st.tuples(st.sampled_from([1.5, 6.0, 12.0, 40.0]),
+                                     st.sampled_from([6.0, 15.0])), min_size=1, max_size=4,
+                           unique=True))
+    keys = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from([0, 19]),
+                                   st.sampled_from([0, 2]), st.sampled_from([0, 1, 2, 14])),
+                         min_size=2, max_size=40, unique=True))
+    loss = st.one_of(st.floats(60.0, 140.0), st.sampled_from([1e308, 1.5e308, -1e308]))
+    rows = [(*point, tx, rx, trial, draw(loss)) for point, tx, rx, trial in keys]
+    if draw(st.booleans()):  # a trial or two repeated, with another loss
+        repeats = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2))
+        rows += [(*row[:5], draw(loss)) for row in repeats]
+    return draw(st.permutations(rows))
+
+
+class TestAggregateTrialsInBatches:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=raw_rows(), batch_rows=st.sampled_from([1, 2, 3, 5, 8, dataset._BATCH_ROWS]))
+    def test_matches_the_reference(self, rows, batch_rows):
+        assert outcome(lambda r: aggregated(r, batch_rows), rows) \
+            == outcome(reference_aggregate, rows)
+
+    @pytest.mark.parametrize("batch_rows", [1, 4, dataset._BATCH_ROWS])
+    def test_empty_table(self, batch_rows):
+        assert aggregated([], batch_rows) == []
+
+    def test_point_larger_than_a_batch(self):
+        # 60 rows at 6 m in three runs, and 3 rows at 12 m in two: batches of at most
+        # 4 rows hold one whole point each
+        near = [(6.0, 12.0, tx, 0, t, 80.0 + tx + t / 3) for tx in range(4) for t in range(15)]
+        far = [(12.0, 12.0, 0, 1, t, 90.0 + t) for t in range(3)]
+        rows = near[:20] + far[:2] + near[20:45] + far[2:] + near[45:]
+        records = aggregated(rows, 4)
+        assert records == reference_aggregate(rows)
+        assert [r[5] for r in records] == [15, 15, 15, 15, 3]
+
+    def test_repeated_trial_comes_before_an_earlier_overflow(self):
+        # in batches of 1 or 2 rows the overflowing pair is in the first batch and
+        # the repeated trial in the last, yet the repeat is reported, as in one batch
+        rows = [(6.0, 12.0, 0, 0, 0, 1e308), (6.0, 12.0, 0, 0, 1, 1e308),
+                (9.0, 12.0, 0, 0, 0, 90.0), (12.0, 12.0, 3, 4, 2, 90.0),
+                (12.0, 12.0, 3, 4, 2, 91.0)]
+        message = r"^duplicate trial 2 of beam pair \(3, 4\) at \(d=12\.0 m, h=12\.0 m\)$"
+        for batch_rows in (1, 2, dataset._BATCH_ROWS):
+            with pytest.raises(ValueError, match=message):
+                aggregated(rows, batch_rows)
+        with pytest.raises(ValueError, match=r"^mean path loss of beam pair \(0, 0\) "
+                                             r"at \(d=6\.0 m, h=12\.0 m\) is not finite$"):
+            aggregated(rows[:-1], 1)
+
+    def test_aggregated_table_names_the_raw_columns(self, fig2_points):
+        with pytest.raises(ValueError, match=r"^aggregate_trials expects the raw-trial schema "
+                                             r"\(distance_m,height_m,tx_beam_idx,rx_beam_idx,"
+                                             r"trial_idx,path_loss_db\)$"):
+            aggregate_trials(fig2_points)
+
+
 class TestToFitPoints:
     def test_height_filter(self, fig2_points):
         assert len(to_fit_points(fig2_points, height=12.0)[0]) == 12
@@ -854,6 +959,24 @@ class TestToFitPoints:
         # the best pair is rank 1, so 0 names no rank
         with pytest.raises(ValueError, match="rank must be >= 1 and <= 400, got 0"):
             to_fit_points(fig2_points, rank=0)
+
+    def test_rank_must_be_whole(self, fig2_points):
+        # rank=1.5 selected rank 1
+        points = np.concatenate([fig2_points, load_rank_points(2)])
+        expected = to_fit_points(points, rank=2)
+        for whole in (np.int64(2), 2.0):
+            assert [c.tolist() for c in to_fit_points(points, rank=whole)] \
+                == [c.tolist() for c in expected]
+        for bad in (1.5, 2.5):
+            with pytest.raises(ValueError, match=rf"^rank must be a whole number, got {bad}$"):
+                to_fit_points(points, rank=bad)
+
+    def test_raw_table_names_the_aggregated_columns(self):
+        # it returned every trial as a point
+        with pytest.raises(ValueError, match=r"^to_fit_points expects the aggregated schema "
+                                             r"\(distance_m,height_m,rank,path_loss_db\); "
+                                             r"aggregate raw trials first$"):
+            to_fit_points(load_csv(raw_csv("6.0,12.0,0,0,0,90.0")))
 
     def test_empty_selection(self, fig2_points):
         with pytest.raises(EmptySelectionError, match="height=99"):

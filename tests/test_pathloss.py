@@ -283,6 +283,17 @@ class TestSamplePl:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             sample_pl(CiModel(60.48, 2.25, 3.56), 10.0, 5, seed=-1)
 
+    @pytest.mark.parametrize("name", ["n", "seed"])
+    def test_count_and_seed_must_be_whole(self, name):
+        # n=2.7 drew 2 values, and seed=1.5 was numpy's TypeError naming no input
+        model, args = CiModel(60.48, 2.25, 3.56), {"n": 3, "seed": 7}
+        expected = sample_pl(model, 10.0, **args)
+        for whole in (np.int64(args[name]), float(args[name])):
+            assert np.array_equal(sample_pl(model, 10.0, **{**args, name: whole}), expected)
+        for bad in (2.7, 1.5):
+            with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got {bad}$"):
+                sample_pl(model, 10.0, **{**args, name: bad})
+
     def test_bit_identical_for_same_seed(self):
         model = FiModel(67.03, 2.33, 3.52)
         a = sample_pl(model, 20.0, 1000, seed=20200925)

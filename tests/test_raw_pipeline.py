@@ -141,13 +141,27 @@ def test_row_by_row_reader_loads_the_campaign_as_the_bulk_parse_does(campaign_ra
 
 
 def test_aggregation_holds_no_copy_of_the_trials(campaign_raw, warm):
-    # the key is built in place and its buffer reused: about three int64
-    # columns at once, a little over half the table's six
+    # whole points are averaged a batch at a time: the peak is what the result
+    # holds and one batch's arrays, not a sort key as long as the table
     table = load_csv(campaign_raw[1])
     _, (held, peak) = traced(aggregate_trials, table)
-    assert peak <= 0.65 * table.nbytes, peak / table.nbytes
-    # 10,800 slotted records of 80 bytes, and their distance, height and mean floats
-    assert held <= 0.25 * table.nbytes, held / table.nbytes
+    assert peak <= 0.21 * table.nbytes, peak / table.nbytes
+    # 10,800 slotted records of 80 bytes and their mean floats; one distance and
+    # one height float per point
+    assert held <= 0.17 * table.nbytes, held / table.nbytes
+
+
+def test_aggregation_peak_is_bounded_by_a_batch(campaign_raw, warm):
+    # the campaign and a copy of it at shifted distances: twice the rows and
+    # records, and the same peak above what the records hold
+    table = load_csv(campaign_raw[1])
+    doubled = np.concatenate([table, table])
+    doubled["distance_m"][len(table):] += 1000.0
+    once, (held, peak) = traced(aggregate_trials, table)
+    twice, (twice_held, twice_peak) = traced(aggregate_trials, doubled)
+    assert len(twice) == 2 * len(once)
+    assert twice_held > 1.9 * held
+    assert twice_peak - twice_held <= peak - held + 16 * 1024, (peak - held, twice_peak - twice_held)
 
 
 @pytest.mark.parametrize("order", ["split point", "shuffled"])
