@@ -7,8 +7,6 @@ whose raised intercept absorbs the lost beamforming gain, and each rank's
 mean angular offset from the best pair says how far off those choices were.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from operator import attrgetter

@@ -14,12 +14,9 @@ diagnostic was emitted. Output contains no timestamps, so identical
 arguments and input files give byte-identical output.
 """
 
-from __future__ import annotations
-
 import argparse
 import collections
 import csv as _csv
-import json
 import os
 import sys
 
@@ -80,6 +77,7 @@ def _emit(fmt: str, columns, rows, out=None) -> None:
         for row in rows:
             writer.writerow([_cell(v, repr) for v in row])
     elif fmt == "json":  # one object at a time, laid out as json.dump(rows, indent=2) would
+        import json  # here, not at the top: no other format or command loads it
         opening = "[\n  "
         for row in rows:
             out.write(opening + json.dumps(dict(zip(columns, row)), indent=2).replace("\n", "\n  "))

@@ -18,8 +18,6 @@ published figures (see README for provenance). Set the ``A2A_DATA_DIR``
 environment variable to load fixtures from another directory instead.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import math
@@ -243,15 +241,10 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
         d, h = (trials[name][i - 1:i + _BATCH_ROWS] for name in RAW_COLUMNS[:2])
         starts.append(np.flatnonzero((d[1:] != d[:-1]) | (h[1:] != h[:-1])) + i)
     starts = np.concatenate(starts)
-    point = np.zeros(len(starts), np.int64)  # per run, a number that orders points by (d, h)
-    for name in RAW_COLUMNS[:2]:  # counts keep np.unique off its hash path, which imports numpy.ma
-        runs = trials[name][starts]
-        values = np.unique(runs, return_counts=True)[0]
-        point *= values.size
-        point += np.searchsorted(values, runs)
-    by_point = np.argsort(point)  # the runs in point order, as they stand from here on
+    by_point = np.lexsort((trials["height_m"][starts], trials["distance_m"][starts]))  # d, then h
     starts, lengths = starts[by_point], np.diff(starts, append=len(trials))[by_point]
-    opens = np.diff(point[by_point], prepend=-1) != 0  # where a point's first run stands
+    d, h = (trials[name][starts] for name in RAW_COLUMNS[:2])  # per run, in point order from here on
+    opens = np.append(True, (d[1:] != d[:-1]) | (h[1:] != h[:-1]))[:len(starts)]  # a point's first run
     point, heads = np.cumsum(opens) - 1, np.flatnonzero(opens)  # point: 0, 1, ... per run
     shared = [trials[n][starts[heads]].astype(object) for n in RAW_COLUMNS[:2]]  # a float per point
     before = np.cumsum(lengths) - lengths  # the rows before each run

@@ -6,8 +6,6 @@ origin on the Friis-referenced excess loss; the floating-intercept fit is
 ordinary least squares with a free intercept.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np

@@ -8,8 +8,6 @@ carry a zero-mean Gaussian shadowing term in the dB domain. Both evaluators,
 `mean_pl` and `free_space_pl`, take a float distance or a 1-D array of them.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, fields
 

@@ -14,8 +14,6 @@ curves to better than 0.01 dB at 6 m (see tests), they are not given
 anywhere with the measurement data.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

@@ -82,14 +82,19 @@ def run_cli(capsys):
     return run
 
 
+def src_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def run_cli_process(*args):
     """Run `python -m a2a60.cli` with this checkout's sources importable."""
-    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "a2a60.cli", *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=src_env(),
     )
 
 
@@ -116,9 +121,8 @@ def peak_kib(*args):
             "main(sys.argv[1:])\n"
             "status = open('/proc/self/status').read()\n"
             "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr)\n")
-    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
     result = subprocess.run([sys.executable, "-c", code, *args], stdout=subprocess.DEVNULL,
-                            stderr=subprocess.PIPE, text=True, env=dict(os.environ, PYTHONPATH=path))
+                            stderr=subprocess.PIPE, text=True, env=src_env())
     return int(result.stderr)
 
 
@@ -594,11 +598,10 @@ class TestSampleHelper:
                 "os.pipe = one_page_pipe\n"
                 "from a2a60.cli import main\n"
                 "sys.exit(main(sys.argv[1:]))\n")
-        path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-c", code, "sample", "--distance", "20", "--n", "100000",
              "--seed", "8"],
-            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+            capture_output=True, text=True, timeout=120, env=src_env())
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout.splitlines(keepends=True) == library_lines("ci", 100000, 8)
 
@@ -608,9 +611,8 @@ class TestSampleHelper:
                          ids=["compare", "sample"])
 def test_stdout_closed_early_exits_quietly(args):
     # as `a2a60 ... | head -1` does; sample's helper formats the odd blocks here
-    path = os.pathsep.join(filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))
     with subprocess.Popen([sys.executable, "-m", "a2a60.cli", *args], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path)) as process:
+                          stderr=subprocess.PIPE, env=src_env()) as process:
         assert process.stdout.readline()
         process.stdout.close()
         assert (process.stderr.read(), process.wait(timeout=120)) == (b"", 0)
@@ -812,6 +814,26 @@ class TestGoldenOutput:
         stdout = buffer.getvalue().encode()
         assert len(stdout) == goldens[name]["bytes"]
         assert hashlib.sha256(stdout).hexdigest() == goldens[name]["sha256"]
+
+    @pytest.mark.parametrize("name", ["fit-ci", "fit-fi-json", "report-table3-markdown-table",
+                                      "sample-1000"])
+    def test_only_json_output_imports_json(self, goldens, name):
+        # every process pays for what `import a2a60.cli` loads; json serves --format json alone
+        code = ("import sys\n"
+                "import a2a60.cli\n"
+                "print(*sys.modules, file=sys.stderr)\n"
+                "a2a60.cli.main(sys.argv[1:])\n"
+                "print(*sys.modules, file=sys.stderr)\n")
+        result = subprocess.run([sys.executable, "-c", code, *GOLDEN_COMMANDS[name]],
+                                capture_output=True, env=src_env())
+        assert result.returncode == 0, result.stderr
+        before, after = (set(line.split()) for line in result.stderr.decode().splitlines())
+        assert not before & {"json", "__future__"}
+        # bench/child.py's tracer looks each library module up in sys.modules
+        assert {f"a2a60.{m}" for m in ("dataset", "beams", "fitting", "pathloss", "tr38901")} <= before
+        assert ("json" in after) == name.endswith("-json")
+        assert len(result.stdout) == goldens[name]["bytes"]
+        assert hashlib.sha256(result.stdout).hexdigest() == goldens[name]["sha256"]
 
     @pytest.mark.parametrize("rank", ["1", "none"])
     def test_best_pair_rank_prints_fit_ci(self, goldens, run_cli, rank):
