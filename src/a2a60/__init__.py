@@ -9,7 +9,6 @@ datasets that regenerate the published results.
 from .beams import (
     PUBLISHED_TABLE,
     BeamPairRanking,
-    BeamScanRecord,
     MisalignmentTable,
     beam_angle,
     fit_misalignment_table,
@@ -18,6 +17,7 @@ from .beams import (
 )
 from .dataset import (
     AggregatedPoint,
+    BeamScanRecord,
     CsvFormatError,
     EmptySelectionError,
     aggregate_trials,

@@ -14,45 +14,12 @@ from operator import attrgetter
 import numpy as np
 
 from . import published
+from .dataset import BeamScanRecord
 from .fitting import fit_ci, fit_fi
 from .pathloss import CiModel, FiModel, _check_finite, mean_pl
 
 BEAM_SPACING_DEG = published.BEAM_SPACING_DEG
 SCAN_WINDOW_BEAMS = published.SCAN_WINDOW_BEAMS
-
-_WINDOW_NOTE = f" (the {SCAN_WINDOW_BEAMS} x {SCAN_WINDOW_BEAMS} scan window)"
-# the valid range of every measurement field, as `_check_finite` arguments
-_FIELD_RANGES = {
-    "distance_m": dict(gt=0.0, unit="m"),
-    "height_m": dict(gt=0.0, unit="m"),
-    "path_loss_db": {},
-    "tx_beam_idx": dict(ge=0, le=SCAN_WINDOW_BEAMS - 1, whole=True, note=_WINDOW_NOTE),
-    "rx_beam_idx": dict(ge=0, le=SCAN_WINDOW_BEAMS - 1, whole=True, note=_WINDOW_NOTE),
-    "trial_idx": dict(ge=0, le=published.TRIALS_PER_SCAN - 1, whole=True),
-    "trial_count": dict(ge=1, le=published.TRIALS_PER_SCAN, whole=True),
-    "rank": dict(ge=1, le=SCAN_WINDOW_BEAMS ** 2, whole=True),
-}
-
-
-def _check_fields(items) -> None:
-    """Check each (field, value or column) of a measurement against the field's range."""
-    for name, value in items:
-        _check_finite(name, value, **_FIELD_RANGES[name])
-
-
-@dataclass(frozen=True, slots=True)
-class BeamScanRecord:
-    """Trial-averaged path loss of one (tx, rx) beam pair at one point."""
-
-    distance_m: float
-    height_m: float
-    tx_beam_idx: int
-    rx_beam_idx: int
-    path_loss_db: float
-    trial_count: int = 1
-
-    def __post_init__(self):
-        _check_fields((name, getattr(self, name)) for name in self.__slots__)
 
 
 @dataclass(frozen=True)
@@ -100,6 +67,7 @@ def rank_beam_pairs(records: list[BeamScanRecord]) -> BeamPairRanking:
 
 def beam_angle(beam_idx: int, window_size: int = SCAN_WINDOW_BEAMS) -> float:
     """Beam direction in degrees relative to boresight, window centered on 0."""
+    _check_finite("window_size", window_size, ge=1, whole=True)
     _check_finite("beam_idx", beam_idx, ge=0, le=window_size - 1, whole=True,
                   note=" (the scan window)")
     return (beam_idx - (window_size - 1) / 2.0) * BEAM_SPACING_DEG

@@ -1,4 +1,4 @@
-"""Measurement ingestion and the bundled fixture datasets.
+"""Measurement schemas, ingestion and the bundled fixture datasets.
 
 Two canonical CSV schemas, each of which loads as one numpy structured
 array with a field per column, each column range-checked once. Raw sounder
@@ -20,18 +20,19 @@ environment variable to load fixtures from another directory instead.
 
 import csv
 import io
-import math
 import os
 import warnings
 from collections import deque
 from contextlib import nullcontext
+from dataclasses import dataclass
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .beams import _FIELD_RANGES, BeamScanRecord, _check_fields
+from . import published
+from .pathloss import _check_finite
 
 DATA_DIR_ENV = "A2A_DATA_DIR"
 
@@ -43,15 +44,44 @@ CURVE_COLUMNS = ("curve", "distance_m", "path_loss_db")
 MEASUREMENTS_FILE = "fig2_measurements.csv"
 RANK_FILES = {2: "fig6_rank2.csv", 3: "fig6_rank3.csv", 9: "fig6_rank9.csv"}
 REFERENCE_CURVES_FILE = "fig5_reference_curves.csv"
-_RAW_DTYPE = np.dtype([(name, "i8" if name.endswith("_idx") else "f8") for name in RAW_COLUMNS])
-_AGGREGATED_DTYPE = np.dtype([(name, "i8" if name == "rank" else "f8")
-                              for name in AGGREGATED_COLUMNS])
 _CURVE_DTYPE = np.dtype([(name, object if name == "curve" else "f8") for name in CURVE_COLUMNS])
 _BATCH_ROWS = 1 << 13  # aggregate_trials averages whole points, at most this many rows at a time
-_PAIRS_PER_POINT = math.prod(_FIELD_RANGES[n]["le"] + 1 for n in RAW_COLUMNS[2:4])  # (tx, rx)
+_WINDOW = published.SCAN_WINDOW_BEAMS
+_PAIRS_PER_POINT = _WINDOW ** 2  # the (tx, rx) pairs of one scan, ranked 1 to this
+_WINDOW_NOTE = f" (the {_WINDOW} x {_WINDOW} scan window)"
 _BULK_CHUNK = 1 << 18  # characters per read of the bulk parse's first pass
 # ASCII separators numpy's parser strips as whitespace but Python's float and int reject
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _rank(text: str) -> int:
+    """A rank cell: blank, the best pair, reads as 1."""
+    return int(text) if text.strip() else 1
+
+
+# each measurement field's CSV converter (float: an f8 column, else i8) and `_check_finite` range
+_FIELDS = {
+    "distance_m": (float, dict(gt=0.0, unit="m")),
+    "height_m": (float, dict(gt=0.0, unit="m")),
+    "path_loss_db": (float, {}),
+    "tx_beam_idx": (int, dict(ge=0, le=_WINDOW - 1, whole=True, note=_WINDOW_NOTE)),
+    "rx_beam_idx": (int, dict(ge=0, le=_WINDOW - 1, whole=True, note=_WINDOW_NOTE)),
+    "trial_idx": (int, dict(ge=0, le=published.TRIALS_PER_SCAN - 1, whole=True)),
+    "trial_count": (int, dict(ge=1, le=published.TRIALS_PER_SCAN, whole=True)),
+    "rank": (_rank, dict(ge=1, le=_PAIRS_PER_POINT, whole=True)),
+}
+_RAW_DTYPE, _AGGREGATED_DTYPE = (np.dtype([(n, "f8" if _FIELDS[n][0] is float else "i8") for n in cols])
+                                 for cols in (RAW_COLUMNS, AGGREGATED_COLUMNS))
+# header -> (one text converter per column, the table's dtype)
+_MEASUREMENT_SCHEMAS = {dtype.names: (tuple(_FIELDS[n][0] for n in dtype.names), dtype)
+                        for dtype in (_RAW_DTYPE, _AGGREGATED_DTYPE)}
+_CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _CURVE_DTYPE)}
+
+
+def _check_fields(items) -> None:
+    """Check each (field, value or column) of a measurement against the field's range."""
+    for name, value in items:
+        _check_finite(name, value, **_FIELDS[name][1])
 
 
 class CsvFormatError(ValueError):
@@ -62,6 +92,21 @@ class EmptySelectionError(ValueError):
     """A height/rank filter matched no points."""
 
 
+@dataclass(frozen=True, slots=True)
+class BeamScanRecord:
+    """Trial-averaged path loss of one (tx, rx) beam pair at one point."""
+
+    distance_m: float
+    height_m: float
+    tx_beam_idx: int
+    rx_beam_idx: int
+    path_loss_db: float
+    trial_count: int = 1
+
+    def __post_init__(self):
+        _check_fields((name, getattr(self, name)) for name in self.__slots__)
+
+
 def AggregatedPoint(distance_m: float, height_m: float, path_loss_db: float,
                     rank: int | None = None) -> tuple:
     """One checked row of an aggregated table, in its column order: the trial-averaged
@@ -70,11 +115,6 @@ def AggregatedPoint(distance_m: float, height_m: float, path_loss_db: float,
     _check_fields((("distance_m", distance_m), ("height_m", height_m),
                    ("path_loss_db", path_loss_db), ("rank", rank)))
     return (distance_m, height_m, rank, path_loss_db)
-
-
-def _rank(text: str) -> int:
-    """A rank cell: blank, the best pair, reads as 1."""
-    return int(text) if text.strip() else 1
 
 
 def _table(rows, blank, dtype) -> np.ndarray:
@@ -145,14 +185,6 @@ def _position(stream):
         return stream.tell() if stream.seekable() else None
     except (AttributeError, OSError, ValueError):
         return None
-
-
-# header -> (one text converter per column, the table's dtype)
-_MEASUREMENT_SCHEMAS = {
-    RAW_COLUMNS: ((float, float, int, int, int, float), _RAW_DTYPE),
-    AGGREGATED_COLUMNS: ((float, float, _rank, float), _AGGREGATED_DTYPE),
-}
-_CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _CURVE_DTYPE)}
 
 
 def _read(source, schemas, path=None) -> np.ndarray:
@@ -258,7 +290,7 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
         rows += np.arange(ahead[a], ahead[b])
         key = np.repeat(point[r] - a, lengths[r])  # per row: its point in the batch, tx, rx, trial
         for name in RAW_COLUMNS[2:5]:  # each index is in range: a key repeats only with a trial
-            key *= _FIELD_RANGES[name]["le"] + 1
+            key *= _FIELDS[name][1]["le"] + 1
             key += trials[name][rows]
         order = np.argsort(key)  # keys repeat only in an error, whose message they share
         key, rows = key[order], rows[order]
@@ -266,7 +298,7 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
         if repeated.size:
             d, h, tx, rx, trial, _ = trials[rows[repeated[0] + 1]].tolist()
             raise ValueError(f"duplicate trial {trial} of beam pair ({tx}, {rx}) at (d={d} m, h={h} m)")
-        key //= _FIELD_RANGES["trial_idx"]["le"] + 1  # now per pair
+        key //= _FIELDS["trial_idx"][1]["le"] + 1  # now per pair
         first = np.concatenate(([True], key[1:] != key[:-1]))  # opens a pair
         group = np.cumsum(first) - 1
         counts = np.bincount(group)
@@ -309,12 +341,10 @@ def to_fit_points(points: np.ndarray, height="all", rank="all") -> tuple[np.ndar
     """
     _check_schema(points, AGGREGATED_COLUMNS, "to_fit_points")
     selected = np.ones(len(points), dtype=bool)
-    if height != "all":
-        selected &= points["height_m"] == float(height)
-    if rank != "all":
-        number = 1 if rank is None else rank
-        _check_fields((("rank", number),))
-        selected &= points["rank"] == number
+    for name, value in (("height_m", height), ("rank", 1 if rank is None else rank)):
+        if value != "all":
+            _check_fields(((name, value),))
+            selected &= points[name] == value
     if not selected.any():
         raise EmptySelectionError(f"empty selection: no points match height={height}, rank={rank}")
     return points["distance_m"][selected], points["path_loss_db"][selected]
@@ -322,8 +352,12 @@ def to_fit_points(points: np.ndarray, height="all", rank="all") -> tuple[np.ndar
 
 def save_aggregated_csv(points, dest) -> None:
     """Write an aggregated table, or a list of `AggregatedPoint` rows, the best
-    pair's rank as a blank cell; repr precision makes a reload bit-identical."""
-    rows = np.asarray(points, _AGGREGATED_DTYPE).tolist()  # Python numbers, whose repr is plain
+    pair's rank as a blank cell; repr precision makes a reload bit-identical.
+    A table `load_csv` would reject is a ValueError, raised before `dest` is opened."""
+    table = points if isinstance(points, np.ndarray) else np.array(points, _AGGREGATED_DTYPE)
+    _check_schema(table, AGGREGATED_COLUMNS, "save_aggregated_csv")
+    _check_fields((name, table[name]) for name in AGGREGATED_COLUMNS)
+    rows = table.tolist()  # Python numbers, whose repr is plain
     with (nullcontext(dest) if hasattr(dest, "write")
           else open(dest, "w", newline="", encoding="utf-8")) as handle:
         writer = csv.writer(handle)

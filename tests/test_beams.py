@@ -53,6 +53,16 @@ class TestBeamAngle:
         with pytest.raises(ValueError):
             beam_angle(idx, window_size=20)
 
+    @pytest.mark.parametrize("window_size, message", [
+        (math.nan, "window_size must be finite, got nan"),
+        (math.inf, "window_size must be finite, got inf"),
+        (0, "window_size must be >= 1, got 0"),
+    ])
+    def test_window_size_checked_before_the_index(self, window_size, message):
+        # a NaN window blamed beam_idx 0; whole windows only: test_integer_input_must_be_whole
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            beam_angle(0, window_size=window_size)
+
 
 class TestRankBeamPairs:
     def test_two_records(self):
@@ -328,11 +338,12 @@ WHOLE_RANKINGS = [synthetic_ranking(d, 6.0, {(0, 0): 60.0 + d, (1, 0): 62.0 + d,
     (lambda v: misalignment_loss(PUBLISHED_TABLE, v, 20.0), "rank"),
     (lambda v: fit_misalignment_table(WHOLE_RANKINGS, 60.48, max_rank=v), "max_rank"),
     (lambda v: beam_angle(v), "beam_idx"),
+    (lambda v: beam_angle(0, window_size=v), "window_size"),
     (lambda v: BeamScanRecord(6.0, 12.0, v, 0, 90.0), "tx_beam_idx"),
     (lambda v: BeamScanRecord(6.0, 12.0, 0, v, 90.0), "rx_beam_idx"),
     (lambda v: BeamScanRecord(6.0, 12.0, 0, 0, 90.0, v), "trial_count"),
 ], ids=["pair_at", "model_for", "misalignment_loss", "fit_misalignment_table", "beam_angle",
-        "record_tx_beam_idx", "record_rx_beam_idx", "record_trial_count"])
+        "beam_angle_window_size", "record_tx_beam_idx", "record_rx_beam_idx", "record_trial_count"])
 def test_integer_input_must_be_whole(call, name):
     # a numpy integer or a whole float gives what the Python int gives; any other
     # number is a ValueError naming the input, not a TypeError or a truncation

@@ -159,6 +159,11 @@ class TestFitCommand:
         ("--rank", "0", "rank must be >= 1 and <= 400, got 0"),  # the best pair is rank 1
         ("--rank", "abc", "invalid --rank 'abc': invalid literal for int()"),
         ("--height", "abc", "invalid --height 'abc': could not convert string to float"),
+        # each was an empty selection, which hid which flag was out of range
+        ("--height", "nan", "height_m must be finite, got nan"),
+        ("--height", "inf", "height_m must be finite, got inf"),
+        ("--height", "-5", "height_m must be > 0 m, got -5.0 m"),
+        ("--height", "0", "height_m must be > 0 m, got 0.0 m"),
     ])
     def test_bad_selection_flag(self, run_cli, flag, value, message):
         result = run_cli("fit", "--model", "ci", flag, value)

@@ -1005,6 +1005,29 @@ class TestRoundTrip:
                                                       "9.0,15.0,,88.5"]
         assert load_csv(io.StringIO(buffer.getvalue())).tolist() == points
 
+    @pytest.mark.parametrize("rows, message", [
+        ([(6.0, 12.0, 1, math.nan)], "path_loss_db must be finite, got nan"),
+        ([(6.0, 12.0, 0, 85.5)], "rank must be >= 1 and <= 400, got 0"),
+        ([(6.0, 12.0, 1, 85.5), (-6.0, 12.0, 2, 90.0)], "distance_m must be > 0 m, got -6.0 m"),
+    ])
+    @pytest.mark.parametrize("as_table", [True, False], ids=["table", "rows"])
+    def test_what_load_csv_rejects_is_not_written(self, tmp_path, rows, message, as_table):
+        # a NaN was written as nan and a rank 0 as 0, each a file load_csv rejects
+        points = np.array(rows, dataset._AGGREGATED_DTYPE) if as_table else rows
+        dest = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            save_aggregated_csv(points, dest)
+        assert not dest.exists()
+
+    def test_raw_table_names_the_aggregated_columns(self, tmp_path):
+        # it failed with numpy's TypeError, which names no schema
+        dest = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^save_aggregated_csv expects the aggregated schema "
+                                             r"\(distance_m,height_m,rank,path_loss_db\); "
+                                             r"aggregate raw trials first$"):
+            save_aggregated_csv(load_csv(raw_csv("6.0,12.0,0,0,0,90.0")), dest)
+        assert not dest.exists()
+
     def test_best_pair_is_written_blank(self):
         points = [AggregatedPoint(6.0, 12.0, 85.5, rank=1), AggregatedPoint(9.0, 12.0, 90.25)]
         buffer = io.StringIO()
