@@ -17,6 +17,7 @@ arguments and input files give byte-identical output.
 import argparse
 import collections
 import csv as _csv
+import importlib.util
 import os
 import sys
 
@@ -239,6 +240,17 @@ def cmd_sample(args) -> None:
         model = FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
                         ple, sigma)
     blocks = _draw_blocks(model, args.distance, args.n, args.seed, _BLOCK)
+    # numpy.random loads OpenSSL's libcrypto (3.4 MiB) only through `secrets`, `hmac`, `hashlib`
+    # and `_hashlib`; with `_hashlib` blocked they use CPython's built-in hashes. Skipped where
+    # `_hashlib` is loaded already, or where hashlib would log a missing built-in hash to stderr
+    hashes = ["_md5", "_sha1", "_sha3", "_blake2"] + (
+        ["_sha2"] if sys.version_info >= (3, 12) else ["_sha256", "_sha512"])
+    if "_hashlib" not in sys.modules and all(map(importlib.util.find_spec, hashes)):
+        sys.modules["_hashlib"] = None
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del sys.modules["_hashlib"]
     # from 64 blocks on, where it saves more than its start-up costs, a helper
     # formats every odd block; it starts up during the check pass
     helper = _spawn_helper() if args.n > 63 * _BLOCK else None

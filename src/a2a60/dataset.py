@@ -323,11 +323,14 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
 
 
 def _check_schema(table: np.ndarray, columns, user: str) -> np.ndarray:
-    """`table`, if `columns` are its fields; else a ValueError naming the schema `user` expects."""
+    """`table`, if `columns` are its fields, integer ones of an integer dtype; else a ValueError."""
     if table.dtype.names != columns:
         raw = columns == RAW_COLUMNS
         raise ValueError(f"{user} expects the {'raw-trial' if raw else 'aggregated'} schema "
                          f"({','.join(columns)}){'' if raw else '; aggregate raw trials first'}")
+    for name in columns:
+        if _FIELDS[name][0] is not float and table.dtype[name].kind not in "iu":
+            raise ValueError(f"{user} expects an integer {name} field, got dtype {table.dtype[name]}")
     return table
 
 

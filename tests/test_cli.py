@@ -500,6 +500,58 @@ class TestSampleCommand:
         assert result.stderr == f"error: --n must be >= 0 and <= 100000000, got {n}\n"
 
 
+class TestSampleWithoutOpenssl:
+    """`sample` imports numpy.random with `_hashlib` blocked, so OpenSSL's libcrypto does
+    not load, unless `_hashlib` is loaded already or a built-in hash module is missing."""
+
+    def run_sample(self, before=""):
+        """(stdout lines, main's stderr, whether `_hashlib` was loaded after `import a2a60.cli`
+        and after `main`, whether it can be, the names that sys.modules maps to None) of a
+        fresh interpreter that runs `before`, then `sample`."""
+        code = (f"{before}\n"
+                "import importlib.util, json, sys\n"
+                "import a2a60.cli\n"
+                "imported = '_hashlib' in sys.modules\n"
+                "code = a2a60.cli.main(sys.argv[1:])\n"
+                "print(json.dumps([code, imported, '_hashlib' in sys.modules,\n"
+                "                  importlib.util.find_spec('_hashlib') is not None,\n"
+                "                  sorted(k for k, v in sys.modules.items() if v is None)]),\n"
+                "      file=sys.stderr)\n")
+        result = subprocess.run([sys.executable, "-c", code, "sample", "--distance", "20",
+                                 "--n", "5"], capture_output=True, text=True, env=src_env())
+        assert result.returncode == 0, result.stderr
+        *stderr, state = result.stderr.splitlines(keepends=True)
+        code, *state = json.loads(state)
+        assert code == 0
+        return result.stdout.splitlines(keepends=True), "".join(stderr), *state
+
+    def test_sample_leaves_hashlib_as_the_import_does(self):
+        lines, stderr, imported, loaded, _, blocked = self.run_sample()
+        assert (lines, stderr) == (library_lines("ci", 5, 0), "")
+        assert loaded == imported
+        assert blocked == []
+
+    def test_missing_builtin_hash_declines(self):
+        # a build without CPython's built-in hashes, where hashlib would log each missing one
+        lines, stderr, imported, loaded, available, blocked = self.run_sample(
+            "import sys; sys.modules['_md5'] = None")
+        assert (lines, stderr) == (library_lines("ci", 5, 0), "")
+        assert loaded == available  # numpy.random imported as it is without the guard
+        assert blocked == ["_md5"]
+
+    def test_cli_import_loads_numpy_random_as_numpy_does(self):
+        code = ("import sys\n"
+                "import numpy\n"
+                "print('numpy.random' in sys.modules)\n"
+                "import a2a60.cli\n"
+                "print('numpy.random' in sys.modules)\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=src_env())
+        assert result.returncode == 0, result.stderr
+        by_numpy, by_cli = result.stdout.split()
+        assert by_numpy == by_cli
+
+
 @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="the helper needs posix_spawn")
 class TestSampleHelper:
     """From 64 blocks of 1024 draws on, a helper interpreter formats every odd block."""

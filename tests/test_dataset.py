@@ -51,6 +51,11 @@ CURVE_HEADER = "curve,distance_m,path_loss_db\n"
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
+def all_f8_rank_2_5():
+    """An aggregated-named table whose every field, rank among them, is f8."""
+    return np.array([(6.0, 12.0, 2.5, 90.0)], [(n, "f8") for n in dataset.AGGREGATED_COLUMNS])
+
+
 def raw_csv(*rows):
     return io.StringIO(RAW_HEADER + "".join(r + "\n" for r in rows))
 
@@ -944,6 +949,14 @@ class TestAggregateTrialsInBatches:
                                              r"trial_idx,path_loss_db\)$"):
             aggregate_trials(fig2_points)
 
+    def test_float_trial_index_column_is_rejected(self):
+        # an f8 trial_idx of 0.5 failed with numpy's UFuncTypeError
+        dtype = [(n, "f8" if n == "trial_idx" else dataset._RAW_DTYPE[n]) for n in RAW_COLUMNS]
+        table = np.array([(6.0, 12.0, 0, 0, 0.5, 90.0)], dtype)
+        with pytest.raises(ValueError, match=r"^aggregate_trials expects an integer trial_idx "
+                                             r"field, got dtype float64$"):
+            aggregate_trials(table)
+
 
 class TestToFitPoints:
     def test_height_filter(self, fig2_points):
@@ -977,6 +990,12 @@ class TestToFitPoints:
                                              r"\(distance_m,height_m,rank,path_loss_db\); "
                                              r"aggregate raw trials first$"):
             to_fit_points(load_csv(raw_csv("6.0,12.0,0,0,0,90.0")))
+
+    def test_float_rank_column_is_rejected(self):
+        # it reported an empty selection
+        with pytest.raises(ValueError, match=r"^to_fit_points expects an integer rank field, "
+                                             r"got dtype float64$"):
+            to_fit_points(all_f8_rank_2_5(), rank=2)
 
     def test_empty_selection(self, fig2_points):
         with pytest.raises(EmptySelectionError, match="height=99"):
@@ -1026,6 +1045,14 @@ class TestRoundTrip:
                                              r"\(distance_m,height_m,rank,path_loss_db\); "
                                              r"aggregate raw trials first$"):
             save_aggregated_csv(load_csv(raw_csv("6.0,12.0,0,0,0,90.0")), dest)
+        assert not dest.exists()
+
+    def test_float_rank_column_is_not_written(self, tmp_path):
+        # rank 2.5 was written as 2.5, which load_csv rejects
+        dest = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match=r"^save_aggregated_csv expects an integer rank "
+                                             r"field, got dtype float64$"):
+            save_aggregated_csv(all_f8_rank_2_5(), dest)
         assert not dest.exists()
 
     def test_best_pair_is_written_blank(self):
