@@ -16,14 +16,14 @@ import numpy as np
 from . import published
 from .dataset import BeamScanRecord
 from .fitting import fit_ci, fit_fi
-from .pathloss import CiModel, FiModel, _check_finite, mean_pl
+from .pathloss import CiModel, FiModel, _check_finite, _Record, mean_pl
 
 BEAM_SPACING_DEG = published.BEAM_SPACING_DEG
 SCAN_WINDOW_BEAMS = published.SCAN_WINDOW_BEAMS
 
 
-@dataclass(frozen=True)
-class BeamPairRanking:
+@dataclass(init=False, repr=False, eq=False)
+class BeamPairRanking(_Record):
     """Beam pairs at one (distance, height), ascending by path loss.
 
     `pairs` holds (tx_beam_idx, rx_beam_idx, path_loss_db) tuples; rank 1 is
@@ -73,8 +73,8 @@ def beam_angle(beam_idx: int, window_size: int = SCAN_WINDOW_BEAMS) -> float:
     return (beam_idx - (window_size - 1) / 2.0) * BEAM_SPACING_DEG
 
 
-@dataclass(frozen=True)
-class MisalignmentTable:
+@dataclass(init=False, repr=False, eq=False)
+class MisalignmentTable(_Record):
     """Per-rank mean path-loss models plus each rank's mean offset from the best pair.
 
     Index 0 of both tuples is rank 1 (best pair, close-in model); later ranks
@@ -152,9 +152,7 @@ def _published_table() -> MisalignmentTable:
     # published dispersion values are mean-square residuals (dB^2): sqrt
     # turns them into the Gaussian sigma each model carries
     models: list[CiModel | FiModel] = [
-        CiModel(published.CARRIER_FREQ_GHZ, _RANK1_PLE,
-                math.sqrt(published.TABLE3_SIGMA[1]))
-    ]
+        CiModel(published.CARRIER_FREQ_GHZ, _RANK1_PLE, math.sqrt(published.TABLE3_SIGMA[1]))]
     for rank in range(2, 10):
         intercept, ple = _RANK_FI_PARAMS[rank]
         models.append(FiModel(intercept, ple, math.sqrt(published.TABLE3_SIGMA[rank])))

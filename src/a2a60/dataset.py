@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import published
-from .pathloss import _check_finite
+from .pathloss import _check_finite, _Record
 
 DATA_DIR_ENV = "A2A_DATA_DIR"
 
@@ -92,8 +92,8 @@ class EmptySelectionError(ValueError):
     """A height/rank filter matched no points."""
 
 
-@dataclass(frozen=True, slots=True)
-class BeamScanRecord:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class BeamScanRecord(_Record):
     """Trial-averaged path loss of one (tx, rx) beam pair at one point."""
 
     distance_m: float

@@ -10,15 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pathloss import REFERENCE_DISTANCE_M, CiModel, FiModel, _check_finite, friis_reference_pl
+from .pathloss import REFERENCE_DISTANCE_M, CiModel, FiModel, _check_finite, _Record, friis_reference_pl
 
 
 class DegenerateFitError(ValueError):
     """The requested fit has no unique least-squares solution."""
 
 
-@dataclass(frozen=True)
-class FitReport:
+@dataclass(init=False, repr=False, eq=False)
+class FitReport(_Record):
     """Fitted model plus the per-point residuals (measured minus predicted).
 
     `model.sigma_db` is the root-mean-square residual (divisor N). `mse_db2`

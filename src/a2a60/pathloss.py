@@ -9,7 +9,8 @@ carry a zero-mean Gaussian shadowing term in the dB domain. Both evaluators,
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from inspect import Parameter, Signature
 
 import numpy as np
 
@@ -41,6 +42,53 @@ def _check_finite(name: str, value, *, gt=-math.inf, ge=-math.inf, le=math.inf,
     raise ValueError(f"{name} must be {bounds}{note}, got {value}{unit}")
 
 
+class _FieldSignature:
+    """A record class's `__signature__` from its fields, built on first use; `_Record` has none."""
+    def __get__(self, record, cls):
+        cls.__signature__ = Signature(
+            [Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD, annotation=f.type,
+                       default=Parameter.empty if f.default is MISSING else f.default)
+             for f in cls.__dataclass_fields__.values()], return_annotation=None)
+        return cls.__signature__
+
+
+class _Record:
+    """Frozen-dataclass methods, defined once: no record class's dataclass build compiles any."""
+    __slots__ = ()
+    __signature__ = _FieldSignature()
+
+    def __init__(self, *args, **kwargs):
+        bound = self.__signature__.bind(*args, **kwargs)
+        bound.apply_defaults()
+        self.__setstate__(bound.arguments.values())  # in field order
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def __repr__(self):
+        values = (f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{type(self).__qualname__}({', '.join(values)})"
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.__getstate__() == other.__getstate__() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self.__getstate__()))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __setstate__(self, state):
+        for f, value in zip(fields(self), state):
+            object.__setattr__(self, f.name, value)
+
+
 def _check_model(model) -> None:
     """Constructor check shared by both laws: finite fields, nonnegative sigma."""
     for field in fields(model):
@@ -48,8 +96,8 @@ def _check_model(model) -> None:
     _check_finite("sigma_db", model.sigma_db, ge=0.0, unit="dB")
 
 
-@dataclass(frozen=True)
-class CiModel:
+@dataclass(init=False, repr=False, eq=False)
+class CiModel(_Record):
     """Close-in path-loss law: Friis intercept at 1 m plus a fitted exponent.
 
     The intercept is never stored; it is always recomputed from the carrier
@@ -71,8 +119,8 @@ class CiModel:
         return friis_reference_pl(self.freq_ghz)
 
 
-@dataclass(frozen=True)
-class FiModel:
+@dataclass(init=False, repr=False, eq=False)
+class FiModel(_Record):
     """Floating-intercept path-loss law: intercept and exponent both fitted.
 
     For single-frequency data the frequency-dependent terms of the full
@@ -83,8 +131,7 @@ class FiModel:
     ple: float
     sigma_db: float = 0.0
 
-    def __post_init__(self):
-        _check_model(self)
+    __post_init__ = _check_model
 
 
 def _log10(x):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pathloss import _check_finite, _check_result, _log10
+from .pathloss import _check_finite, _check_result, _log10, _Record
 
 # The standard's breakpoint formulas fix the propagation constant at 3e8 m/s.
 BREAKPOINT_C_M_S = 3.0e8
@@ -42,8 +42,8 @@ _DEFAULT_HEIGHTS_M = {  # (BS height, UT height)
 }
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
+@dataclass(init=False, repr=False, eq=False)
+class ScenarioParams(_Record):
     """Deployment geometry for one LOS scenario.
 
     `avg_building_height_m` only matters for RMa (its LOS law has no street
