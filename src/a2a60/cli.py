@@ -11,31 +11,20 @@ subcommand: aggregate raw trials first.
 
 Results go to stdout, diagnostics to stderr; the exit code is nonzero iff a
 diagnostic was emitted. Output contains no timestamps, so identical
-arguments and input files give byte-identical output.
+arguments and input files give byte-identical output. Library modules are
+read through their module objects, so each runs on first use: `sample` runs
+`pathloss` and `published` alone, and no subcommand runs `beams`.
 """
 
 import argparse
 import collections
-import csv as _csv
 import importlib.util
 import os
 import sys
 
 import numpy as np
 
-from . import published
-from .dataset import (
-    AGGREGATED_COLUMNS,
-    RANK_FILES,
-    _check_schema,
-    load_csv,
-    load_measurement_points,
-    load_rank_points,
-    to_fit_points,
-)
-from .fitting import fit_ci, fit_fi
-from .pathloss import CiModel, FiModel, _check_finite, _draw_blocks, free_space_pl, mean_pl
-from .tr38901 import DEFAULT_OXYGEN_ALPHA_DB_PER_KM, SCENARIOS, pl_3gpp_los, scenario_defaults
+from . import dataset, fitting, pathloss, published, tr38901
 
 FORMATS = ("csv", "json", "markdown-table")
 REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "note")
@@ -73,7 +62,8 @@ def _cell(value, float_format):
 def _emit(fmt: str, columns, rows, out=None) -> None:
     out = out or sys.stdout
     if fmt == "csv":
-        writer = _csv.writer(out, lineterminator="\n")
+        import csv  # here, not at the top: `sample` and csv-free commands do not load it
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_cell(v, repr) for v in row])
@@ -96,12 +86,12 @@ def _emit(fmt: str, columns, rows, out=None) -> None:
 def _read_points(args):
     """Aggregated points from --input or the bundled fixture; raw trials are rejected."""
     if not args.input:
-        return load_measurement_points()
-    return _check_schema(load_csv(args.input), AGGREGATED_COLUMNS, args.command)
+        return dataset.load_measurement_points()
+    return dataset._check_schema(dataset.load_csv(args.input), dataset.AGGREGATED_COLUMNS, args.command)
 
 
 def _selection(args, flag, convert):
-    """The --FLAG filter for to_fit_points, which checks its range: "all", or
+    """The --FLAG filter for dataset.to_fit_points, which checks its range: "all", or
     the text converted by `convert`; text that does not convert names the flag."""
     text = getattr(args, flag)
     try:
@@ -113,8 +103,8 @@ def _selection(args, flag, convert):
 def cmd_fit(args) -> None:
     rank = _selection(args, "rank", lambda text: None if text.lower() in ("none", "best", "")
                       else int(text))
-    points = to_fit_points(_read_points(args), height=_selection(args, "height", float), rank=rank)
-    report = fit_ci(*points, args.freq_ghz) if args.model == "ci" else fit_fi(*points)
+    points = dataset.to_fit_points(_read_points(args), _selection(args, "height", float), rank)
+    report = fitting.fit_ci(*points, args.freq_ghz) if args.model == "ci" else fitting.fit_fi(*points)
     columns = ("model", "points", "intercept_db", "ple", "sigma_db", "mse_db2")
     rows = [(args.model, report.point_count, report.model.intercept_db, report.model.ple,
              report.sigma_db, report.mse_db2)]
@@ -128,10 +118,10 @@ def _parse_distances(spec: str) -> tuple[float, float, int]:
         raise ValueError(f"invalid --distances {spec!r}, expected START:STOP:STEP")
     try:
         start, stop, step = (float(p) for p in parts)
-        _check_finite("START", start)
-        _check_finite("STOP", stop, ge=start, note=" (START)")
-        _check_finite("STEP", step, gt=0.0)
-        _check_finite("(STOP - START) / STEP", (stop - start) / step)
+        pathloss._check_finite("START", start)
+        pathloss._check_finite("STOP", stop, ge=start, note=" (START)")
+        pathloss._check_finite("STEP", step, gt=0.0)
+        pathloss._check_finite("(STOP - START) / STEP", (stop - start) / step)
     except ValueError as exc:
         raise ValueError(f"invalid --distances {spec!r}: {exc}") from None
     return start, step, int((stop - start) / step + 1e-9)
@@ -139,28 +129,28 @@ def _parse_distances(spec: str) -> tuple[float, float, int]:
 
 def cmd_compare(args) -> None:
     start, step, last = _parse_distances(args.distances)
-    ci = fit_ci(*to_fit_points(_read_points(args), rank=1), args.freq_ghz).model
-    oxygen = (DEFAULT_OXYGEN_ALPHA_DB_PER_KM if args.oxygen_db_per_km is None
+    ci = fitting.fit_ci(*dataset.to_fit_points(_read_points(args), rank=1), args.freq_ghz).model
+    oxygen = (tr38901.DEFAULT_OXYGEN_ALPHA_DB_PER_KM if args.oxygen_db_per_km is None
               else args.oxygen_db_per_km)
-    _check_finite("--oxygen-db-per-km", oxygen, ge=0.0)
-    references = [scenario_defaults(name, oxygen) for name in SCENARIOS]
+    pathloss._check_finite("--oxygen-db-per-km", oxygen, ge=0.0)
+    references = [tr38901.scenario_defaults(name, oxygen) for name in tr38901.SCENARIOS]
 
     def columns(d):
-        return np.array((d, mean_pl(ci, d), *(pl_3gpp_los(r, args.freq_ghz, d) for r in references),
-                         free_space_pl(args.freq_ghz, d)))
+        return np.array((d, pathloss.mean_pl(ci, d), *(tr38901.pl_3gpp_los(r, args.freq_ghz, d)
+                         for r in references), pathloss.free_space_pl(args.freq_ghz, d)))
 
     # each column's valid distances form an interval: if the grid's two ends
     # pass, every point does, so no row of an out-of-range grid is written
     columns(np.array([start, start + last * step]))
     try:  # then its size, before any row is written
-        _check_finite("grid point count", last + 1, le=_MAX_GRID_POINTS)
+        pathloss._check_finite("grid point count", last + 1, le=_MAX_GRID_POINTS)
     except ValueError as exc:
         raise ValueError(f"invalid --distances {args.distances!r}: {exc}") from None
     # the default is a 57-64 GHz figure; a carrier outside 0.5-100 GHz failed above
     if args.oxygen_db_per_km is None and not 57.0 <= args.freq_ghz <= 64.0:
         raise ValueError(f"--oxygen-db-per-km is required at --freq-ghz {args.freq_ghz}: the "
-                         f"default {DEFAULT_OXYGEN_ALPHA_DB_PER_KM} dB/km holds for 57-64 GHz")
-    header = ("distance_m", "ci_fit", *SCENARIOS, "fspl")
+                         f"default {tr38901.DEFAULT_OXYGEN_ALPHA_DB_PER_KM} dB/km holds for 57-64 GHz")
+    header = ("distance_m", "ci_fit", *tr38901.SCENARIOS, "fspl")
     blocks = (columns(start + np.arange(i, min(i + _BLOCK, last + 1)) * step)
               for i in range(0, last + 1, _BLOCK))  # the same floats as start + i * step
     if args.format == "csv":  # float cells only, which csv.writer would not quote
@@ -228,18 +218,18 @@ def _pairs(blocks, helper):
 
 
 def cmd_sample(args) -> None:
-    _check_finite("--n", args.n, ge=0, le=_MAX_DRAWS)
+    pathloss._check_finite("--n", args.n, ge=0, le=_MAX_DRAWS)
     pub = published.TABLE1[args.model]
     ple = pub["ple"] if args.ple is None else args.ple
     sigma = pub["sigma"] if args.sigma is None else args.sigma
     if args.model == "ci":
         if args.intercept is not None:  # the ci model's intercept is the 1 m Friis loss
             raise ValueError("--intercept needs --model fi")
-        model = CiModel(args.freq_ghz, ple, sigma)
+        model = pathloss.CiModel(args.freq_ghz, ple, sigma)
     else:
-        model = FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
+        model = pathloss.FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
                         ple, sigma)
-    blocks = _draw_blocks(model, args.distance, args.n, args.seed, _BLOCK)
+    blocks = pathloss._draw_blocks(model, args.distance, args.n, args.seed, _BLOCK)
     # numpy.random loads OpenSSL's libcrypto (3.4 MiB) only through `secrets`, `hmac`, `hashlib`
     # and `_hashlib`; with `_hashlib` blocked they use CPython's built-in hashes. Skipped where
     # `_hashlib` is loaded already, or where hashlib would log a missing built-in hash to stderr
@@ -290,9 +280,9 @@ def _fit_rows(section, report, pub):
 
 
 def _report_table1(args):
-    points = to_fit_points(_read_points(args), rank=1)
-    return (_fit_rows("ci", fit_ci(*points, args.freq_ghz), published.TABLE1["ci"])
-            + _fit_rows("fi", fit_fi(*points), published.TABLE1["fi"]))
+    points = dataset.to_fit_points(_read_points(args), rank=1)
+    return (_fit_rows("ci", fitting.fit_ci(*points, args.freq_ghz), published.TABLE1["ci"])
+            + _fit_rows("fi", fitting.fit_fi(*points), published.TABLE1["fi"]))
 
 
 def _report_table2(args):
@@ -300,7 +290,7 @@ def _report_table2(args):
     rows = []
     mirror = "published h=6 / h=15 columns are mirrored relative to the bundled series"
     for key, label in (("all", "all"), (6.0, "h=6"), (12.0, "h=12"), (15.0, "h=15")):
-        report = fit_ci(*to_fit_points(points, height=key, rank=1), args.freq_ghz)
+        report = fitting.fit_ci(*dataset.to_fit_points(points, height=key, rank=1), args.freq_ghz)
         note = mirror if key in (6.0, 15.0) else ""
         rows.append(_row(label, "ple", report.model.ple, published.TABLE2_PLE[key], note))
         rows += _residual_rows(label, report, published.TABLE2_SIGMA[key])
@@ -309,17 +299,17 @@ def _report_table2(args):
 
 def _report_table3(args):
     rank_points, missing = {}, []
-    for rank, name in RANK_FILES.items():
+    for rank, name in dataset.RANK_FILES.items():
         try:
-            rank_points[rank] = load_rank_points(rank)
+            rank_points[rank] = dataset.load_rank_points(rank)
         except FileNotFoundError:
             missing.append(name)
     if missing:
         raise ValueError(f"missing rank fixtures: {', '.join(sorted(missing))}")
 
-    reports = {1: fit_ci(*to_fit_points(_read_points(args), rank=1), args.freq_ghz)}
+    reports = {1: fitting.fit_ci(*dataset.to_fit_points(_read_points(args), rank=1), args.freq_ghz)}
     for rank, points in rank_points.items():
-        reports[rank] = fit_fi(*to_fit_points(points, rank=rank))
+        reports[rank] = fitting.fit_fi(*dataset.to_fit_points(points, rank=rank))
     needs_beams = "requires beam-level data"
     rows = []
     for rank in range(1, 10):
@@ -345,7 +335,7 @@ def _report_table3(args):
 
 
 def _report_conclusion(args):
-    report = fit_ci(*to_fit_points(_read_points(args), rank=1), args.freq_ghz)
+    report = fitting.fit_ci(*dataset.to_fit_points(_read_points(args), rank=1), args.freq_ghz)
     pub = published.CONCLUSION
     return [
         _row("conclusion", "intercept_db", report.model.intercept_db, pub["intercept_db"]),

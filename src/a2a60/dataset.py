@@ -267,22 +267,32 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
     is an error, raised before that of any mean that is not finite (a sum of finite trials
     can overflow). Each pair's trials are summed in trial order, whatever the row order."""
     _check_schema(trials, RAW_COLUMNS, "aggregate_trials")
-    _check_fields((name, trials[name]) for name in RAW_COLUMNS)
+
+    def checked(name, rows):  # trials[name][rows] in range; if not, the whole table's error
+        try:
+            _check_fields(((name, column := trials[name][rows]),))
+        except ValueError:
+            _check_fields((field, trials[field]) for field in RAW_COLUMNS)
+            raise
+        return column
+
     starts = [np.zeros(min(len(trials), 1), np.intp)]  # where each run of rows at one point opens
     for i in range(1, len(trials), _BATCH_ROWS):
         d, h = (trials[name][i - 1:i + _BATCH_ROWS] for name in RAW_COLUMNS[:2])
         starts.append(np.flatnonzero((d[1:] != d[:-1]) | (h[1:] != h[:-1])) + i)
     starts = np.concatenate(starts)
-    by_point = np.lexsort((trials["height_m"][starts], trials["distance_m"][starts]))  # d, then h
+    # checked at the run starts alone: a run's rows share them, and a NaN opens a run of its own
+    d, h = (checked(name, starts) for name in RAW_COLUMNS[:2])
+    by_point = np.lexsort((h, d))  # d, then h
     starts, lengths = starts[by_point], np.diff(starts, append=len(trials))[by_point]
-    d, h = (trials[name][starts] for name in RAW_COLUMNS[:2])  # per run, in point order from here on
+    d, h = d[by_point], h[by_point]  # per run, in point order from here on
     opens = np.append(True, (d[1:] != d[:-1]) | (h[1:] != h[:-1]))[:len(starts)]  # a point's first run
     point, heads = np.cumsum(opens) - 1, np.flatnonzero(opens)  # point: 0, 1, ... per run
     shared = [trials[n][starts[heads]].astype(object) for n in RAW_COLUMNS[:2]]  # a float per point
     before = np.cumsum(lengths) - lengths  # the rows before each run
     # per point, its first run and the rows before it; then the end of both
     heads, ahead = np.append(heads, len(opens)), np.append(before[heads], len(trials))
-    records, overflow, a = [], None, 0
+    records, duplicate, overflow, a = [], None, None, 0
     while a < len(heads) - 1:  # a batch: points a to b - 1, and their runs r
         b = max(np.searchsorted(ahead, ahead[a] + _BATCH_ROWS, "right") - 1, a + 1)
         r = slice(heads[a], heads[b])
@@ -291,18 +301,18 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
         key = np.repeat(point[r] - a, lengths[r])  # per row: its point in the batch, tx, rx, trial
         for name in RAW_COLUMNS[2:5]:  # each index is in range: a key repeats only with a trial
             key *= _FIELDS[name][1]["le"] + 1
-            key += trials[name][rows]
+            key += checked(name, rows)
         order = np.argsort(key)  # keys repeat only in an error, whose message they share
         key, rows = key[order], rows[order]
         repeated = np.flatnonzero(key[1:] == key[:-1])
-        if repeated.size:
+        if repeated.size and not duplicate:  # raised once every batch is in range
             d, h, tx, rx, trial, _ = trials[rows[repeated[0] + 1]].tolist()
-            raise ValueError(f"duplicate trial {trial} of beam pair ({tx}, {rx}) at (d={d} m, h={h} m)")
+            duplicate = f"duplicate trial {trial} of beam pair ({tx}, {rx}) at (d={d} m, h={h} m)"
         key //= _FIELDS["trial_idx"][1]["le"] + 1  # now per pair
         first = np.concatenate(([True], key[1:] != key[:-1]))  # opens a pair
         group = np.cumsum(first) - 1
         counts = np.bincount(group)
-        means = np.bincount(group, weights=trials["path_loss_db"][rows]) / counts
+        means = np.bincount(group, weights=checked("path_loss_db", rows)) / counts
         pairs = rows[first]  # a row of each pair
         bad = np.flatnonzero(~np.isfinite(means))
         if bad.size and not overflow:  # raised once no later batch repeats a trial
@@ -317,8 +327,8 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
             deque(map(getattr(BeamScanRecord, name).__set__, batch, column.tolist()), 0)
         records += batch
         a = b
-    if overflow:
-        raise ValueError(overflow)
+    if duplicate or overflow:
+        raise ValueError(duplicate or overflow)
     return records
 
 

@@ -20,12 +20,16 @@ from a2a60 import (
     CiModel,
     FiModel,
     cli,
+    dataset,
+    fitting,
     free_space_pl,
     mean_pl,
+    pathloss,
     pl_3gpp_los,
     published,
     sample_pl,
     scenario_defaults,
+    tr38901,
 )
 from a2a60.cli import main
 from a2a60.dataset import MEASUREMENTS_FILE, RAW_COLUMNS, fixture_path
@@ -267,7 +271,7 @@ class TestCompareCommand:
         # block of distances at a time, equals the law at each distance
         rows = parse_csv(run_cli("compare", "--distances", "1:150:0.25", "--freq-ghz", "0.5",
                                  "--oxygen-db-per-km", "15").stdout)
-        ci = cli.fit_ci(*cli.to_fit_points(cli.load_measurement_points()), 0.5).model
+        ci = fitting.fit_ci(*dataset.to_fit_points(dataset.load_measurement_points()), 0.5).model
         assert len(rows) == 597
         for row in rows:
             d = float(row["distance_m"])
@@ -282,7 +286,7 @@ class TestCompareCommand:
             calls.append(args)
             return pl_3gpp_los(*args)
 
-        monkeypatch.setattr(cli, "pl_3gpp_los", spy)
+        monkeypatch.setattr(tr38901, "pl_3gpp_los", spy)
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
             assert main(["compare", "--distances", "1:150:0.01"]) == 0
@@ -305,7 +309,7 @@ class TestCompareCommand:
     def test_csv_is_what_csv_writer_writes_of_the_laws(self, run_cli, carrier, spec, count):
         # grids of one row and across the 1024-row block boundaries
         freq = float(carrier[1]) if carrier else published.CARRIER_FREQ_GHZ
-        ci = cli.fit_ci(*cli.to_fit_points(cli.load_measurement_points()), freq).model
+        ci = fitting.fit_ci(*dataset.to_fit_points(dataset.load_measurement_points()), freq).model
         references = [scenario_defaults(name, 0.0 if carrier else 15.0) for name in SCENARIOS]
         start, _, step = map(float, spec.split(":"))
         distances = [start + i * step for i in range(count)]
@@ -468,7 +472,7 @@ class TestSampleCommand:
         def refuse(*args):
             raise error
 
-        monkeypatch.setattr(cli, "_draw_blocks", refuse)
+        monkeypatch.setattr(pathloss, "_draw_blocks", refuse)
         result = run_cli("sample", "--distance", "20", "--n", "100000000")
         assert result.returncode == 1
         assert result.stdout == ""
@@ -484,7 +488,7 @@ class TestSampleCommand:
         def refuse(*args):
             raise AssertionError("drew")
 
-        monkeypatch.setattr(cli, "_draw_blocks", refuse)
+        monkeypatch.setattr(pathloss, "_draw_blocks", refuse)
         result = run_cli("sample", "--distance", "20", "--n", "3", *model, "--intercept", "5")
         assert result == (1, "", "error: --intercept needs --model fi\n")
 
@@ -493,7 +497,7 @@ class TestSampleCommand:
         def refuse(*args):
             raise AssertionError("drew")
 
-        monkeypatch.setattr(cli, "_draw_blocks", refuse)
+        monkeypatch.setattr(pathloss, "_draw_blocks", refuse)
         result = run_cli("sample", "--distance", "20", "--n", n)
         assert result.returncode == 1
         assert result.stdout == ""

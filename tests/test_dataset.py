@@ -943,6 +943,21 @@ class TestAggregateTrialsInBatches:
                                              r"at \(d=6\.0 m, h=12\.0 m\) is not finite$"):
             aggregated(rows[:-1], 1)
 
+    @pytest.mark.parametrize("last, message", [
+        ((12.0, 12.0, -1, 0, 0, math.inf),
+         r"tx_beam_idx must be >= 0 and <= 19 \(the 20 x 20 scan window\), got -1"),
+        ((6.0, math.nan, 0, 0, 0, 90.0), r"height_m must be finite, got nan"),
+    ])
+    def test_range_error_is_the_whole_tables_and_comes_first(self, last, message):
+        # batches check the columns they gather, yet the error is the whole table's first
+        # column out of range, at its extreme, and it comes before the repeated trial of an
+        # earlier batch; a NaN height opens a run of its own, whose first row is checked
+        rows = [(6.0, 12.0, 0, 0, 1, 90.0), (6.0, 12.0, 0, 0, 1, 91.0),
+                (9.0, 12.0, 20, 0, 15, 90.0), last]
+        for batch_rows in (1, 2, dataset._BATCH_ROWS):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                aggregated(rows, batch_rows)
+
     def test_aggregated_table_names_the_raw_columns(self, fig2_points):
         with pytest.raises(ValueError, match=r"^aggregate_trials expects the raw-trial schema "
                                              r"\(distance_m,height_m,tx_beam_idx,rx_beam_idx,"

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
 import inspect
+import json
 import pickle
 import pydoc
+import shutil
 import subprocess
 import sys
 import types
@@ -25,9 +27,10 @@ from a2a60 import (
 
 
 def test_all_lists_every_public_name():
-    # pydoc documents the names in __all__, re-exports included; without it, none of them
-    public = {name for name, value in vars(a2a60).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    # pydoc documents the names in __all__, re-exports included; without it, none of them.
+    # dir() lists each public name before its module has run, and each one resolves
+    public = {name for name in dir(a2a60)
+              if not name.startswith("_") and not isinstance(getattr(a2a60, name), types.ModuleType)}
     assert set(a2a60.__all__) == public
     assert len(a2a60.__all__) == len(public)
 
@@ -44,7 +47,7 @@ def test_scan_record_is_one_class():
 
 def modules_loaded_by(module):
     """The a2a60 modules that importing `a2a60.<module>` loads, a stub package
-    standing in for a2a60 so that its __init__, which imports every module, does not run."""
+    standing in for a2a60 so that its __init__, which registers every module, does not run."""
     code = ("import sys, types\n"
             "package = sys.modules['a2a60'] = types.ModuleType('a2a60')\n"
             f"package.__path__ = [{str(Path(a2a60.__file__).parent)!r}]\n"
@@ -134,7 +137,8 @@ def test_record_behaves_as_its_frozen_dataclass_twin(cls, args, bad):
 
 def test_import_compiles_no_method_from_source():
     # @dataclass(frozen=True) compiles six methods from source text per class, 42 for the
-    # seven record classes; the shared record methods leave each build none to compile
+    # seven record classes; the shared record methods leave each build none to compile.
+    # Every public name is resolved, so that every library module runs
     code = ("import builtins, re, sys\n"
             f"sys.path.insert(0, {str(Path(a2a60.__file__).parents[1])!r})\n"
             "import numpy\n"
@@ -145,8 +149,127 @@ def test_import_compiles_no_method_from_source():
             "    return real(source, *args, **kwargs)\n"
             "builtins.exec = exec\n"
             "import a2a60\n"
+            "for name in a2a60.__all__:\n"
+            "    getattr(a2a60, name)\n"
             "builtins.exec = real\n"
             "print(*compiled)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == []
+
+
+SRC = Path(a2a60.__file__).parents[1]
+LIBRARY = ("published", "pathloss", "dataset", "fitting", "tr38901", "beams")
+
+
+def run_python(code, *args, path=SRC):
+    """The stdout of a fresh interpreter running `code` with `path` first on sys.path,
+    as JSON; it must exit 0."""
+    result = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {str(path)!r})\n"
+                             + code, *args], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_import_registers_every_module_and_runs_none():
+    ran, numpy = run_python("import json, types, a2a60\n"
+                            f"ran = [name for name in {LIBRARY!r}\n"
+                            "       if type(sys.modules['a2a60.' + name]) is types.ModuleType]\n"
+                            "print(json.dumps([ran, 'numpy' in sys.modules]))\n")
+    assert ran == [] and numpy is False
+
+
+# (arguments, the library modules the subcommand runs, whether it loads csv)
+SUBCOMMANDS = [
+    (["fit", "--model", "ci"], {"published", "pathloss", "dataset", "fitting"}, True),
+    (["report", "--which", "table3", "--format", "json"],
+     {"published", "pathloss", "dataset", "fitting"}, True),
+    (["compare", "--format", "markdown-table"],
+     {"published", "pathloss", "dataset", "fitting", "tr38901"}, True),
+    (["sample", "--distance", "20", "--n", "10"], {"published", "pathloss"}, False),
+]
+
+
+@pytest.mark.parametrize("args, runs, loads_csv", SUBCOMMANDS, ids=[s[0][0] for s in SUBCOMMANDS])
+def test_subcommand_runs_only_the_modules_it_uses(args, runs, loads_csv):
+    # `sample` runs neither dataset, fitting, tr38901, beams nor csv; no subcommand runs beams
+    ran, csv = run_python("import io, json, contextlib, types\n"
+                          "from a2a60.cli import main\n"
+                          "with contextlib.redirect_stdout(io.StringIO()):\n"
+                          "    assert main(sys.argv[1:]) == 0\n"
+                          "print(json.dumps([sorted(name[6:] for name, module in sys.modules.items()\n"
+                          "                         if name.startswith('a2a60.') and name != 'a2a60.cli'\n"
+                          "                         and type(module) is types.ModuleType),\n"
+                          "                  'csv' in sys.modules]))\n", *args)
+    assert set(ran) == runs
+    assert csv is loads_csv
+
+
+@pytest.mark.parametrize("entry", ["a2a60", "a2a60.cli"])
+def test_every_traced_module_is_registered_on_import(entry):
+    # bench/child.py's tracer looks each module it traces up in sys.modules after this import
+    child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    missing, unresolved = run_python(
+        "import importlib.util, json\n"
+        f"spec = importlib.util.spec_from_file_location('child', {str(child)!r})\n"
+        "child = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(child)\n"
+        f"import {entry}\n"
+        "missing = [m for m, *_ in child.TARGETS if 'a2a60.' + m not in sys.modules]\n"
+        "print(json.dumps([missing, [f'{m}.{f}' for m, f, *_ in child.TARGETS\n"
+        "                            if not callable(getattr(sys.modules['a2a60.' + m], f, None))]]))\n")
+    assert missing == [] and unresolved == []
+
+
+def test_threads_first_touching_a_module_all_see_it_run():
+    # 8 threads behind a barrier read names of beams, which has not run, at once; in 3
+    # fresh interpreters, as each runs the module once
+    code = ("import json, threading, a2a60\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier, errors = threading.Barrier(8), []\n"
+            "def touch(name):\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        getattr(a2a60.beams, name)\n"
+            "    except BaseException as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "names = ['rank_beam_pairs', 'PUBLISHED_TABLE', 'fit_misalignment_table', 'beam_angle']\n"
+            "threads = [threading.Thread(target=touch, args=(names[i % 4],)) for i in range(8)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(60)\n"
+            "print(json.dumps([errors, sum(thread.is_alive() for thread in threads)]))\n")
+    for _ in range(3):
+        assert run_python(code) == [[], 0]
+
+
+def test_module_whose_first_run_raises_is_left_unrun(tmp_path):
+    # as a failed import runs the module again on the next import, the next use runs it
+    # again: no half-run module is left behind, in sys.modules or the package
+    package = tmp_path / "a2a60"
+    shutil.copytree(Path(a2a60.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    flag = tmp_path / "fail"
+    flag.touch()
+    (package / "beams.py").write_text("import os\n"
+                                      f"if os.path.exists({str(flag)!r}):\n"
+                                      "    half_run = True\n"
+                                      "    raise RuntimeError('first run fails')\n"
+                                      "rank_beam_pairs = 'ran'\n")
+    outcomes = run_python(
+        "import json, os, types, a2a60\n"
+        "beams, outcomes = a2a60.beams, []\n"
+        "for read in (lambda: beams.half_run, lambda: a2a60.rank_beam_pairs,\n"
+        "             lambda: __import__('a2a60.beams').beams.half_run):\n"
+        "    try:\n"
+        "        outcomes.append(read())\n"
+        "    except RuntimeError as exc:\n"
+        "        outcomes.append(str(exc))\n"
+        "outcomes.append([type(beams) is types.ModuleType, sys.modules['a2a60.beams'] is beams])\n"
+        f"os.remove({str(flag)!r})\n"
+        "outcomes.append([a2a60.rank_beam_pairs, hasattr(beams, 'half_run'),\n"
+        "                 type(beams) is types.ModuleType,\n"
+        "                 sys.modules['a2a60.beams'] is beams is a2a60.beams])\n"
+        "print(json.dumps(outcomes))\n", path=tmp_path)
+    assert outcomes == ["first run fails"] * 3 + [[False, True], ["ran", False, True, True]]
