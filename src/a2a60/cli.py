@@ -13,7 +13,9 @@ Results go to stdout, diagnostics to stderr; the exit code is nonzero iff a
 diagnostic was emitted. Output contains no timestamps, so identical
 arguments and input files give byte-identical output. Library modules are
 read through their module objects, so each runs on first use: `sample` runs
-`pathloss` and `published` alone, and no subcommand runs `beams`.
+`pathloss` and `published` alone, and no subcommand runs `beams`. numpy loads
+with the first library module a command runs, so `--help` and usage errors
+finish without it.
 """
 
 import argparse
@@ -21,8 +23,6 @@ import collections
 import importlib.util
 import os
 import sys
-
-import numpy as np
 
 from . import dataset, fitting, pathloss, published, tr38901
 
@@ -32,6 +32,8 @@ REPORT_COLUMNS = ("section", "param", "computed", "published", "abs_delta", "not
 _BLOCK = 1 << 10  # draws per check and write of `sample`, `compare` rows per evaluation and write
 _MAX_GRID_POINTS = 10 ** 6  # distances `compare` evaluates
 _MAX_DRAWS = 10 ** 8  # draws `sample` makes, about 1.8 GB of text
+# the thread-count variables OpenBLAS reads, any of which leaves the count to the user
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _AHEAD = 4  # odd blocks at the helper at once: slack for when a busy host stalls either side
 # `sample`'s numpy-free helper: each length-prefixed float64 block in, its `_lines`
 # out; a reader thread drains stdin, so neither process waits on the other for good
@@ -128,6 +130,7 @@ def _parse_distances(spec: str) -> tuple[float, float, int]:
 
 
 def cmd_compare(args) -> None:
+    import numpy as np  # here, not at the top: parsing, --help and usage errors do not load it
     start, step, last = _parse_distances(args.distances)
     ci = fitting.fit_ci(*dataset.to_fit_points(_read_points(args), rank=1), args.freq_ghz).model
     oxygen = (tr38901.DEFAULT_OXYGEN_ALPHA_DB_PER_KM if args.oxygen_db_per_km is None
@@ -421,8 +424,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # run as the program, before numpy loads: one OpenBLAS thread, not a pool that a
+    # 27-point fit never uses, unless the user chose a thread count
+    if argv is None and "numpy" not in sys.modules and not os.environ.keys() & _BLAS_THREADS:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = _build_parser().parse_args(argv)
-    try:
+    try:  # every subcommand takes the carrier, which the fi law never reads
+        pathloss._check_finite("freq_ghz", args.freq_ghz, gt=0.0, unit="GHz")
         args.func(args)
     except BrokenPipeError:  # stdout's reader left: say nothing, and let the flush at exit
         if sys.stdout is sys.__stdout__:  # write to nothing rather than fail again

@@ -509,12 +509,14 @@ class TestSampleWithoutOpenssl:
     not load, unless `_hashlib` is loaded already or a built-in hash module is missing."""
 
     def run_sample(self, before=""):
-        """(stdout lines, main's stderr, whether `_hashlib` was loaded after `import a2a60.cli`
-        and after `main`, whether it can be, the names that sys.modules maps to None) of a
-        fresh interpreter that runs `before`, then `sample`."""
+        """(stdout lines, main's stderr, whether `_hashlib` was loaded after
+        `import a2a60.cli, numpy` and after `main`, whether it can be, the names that
+        sys.modules maps to None) of a fresh interpreter that runs `before`, then `sample`.
+        The baseline comes after numpy's import, as `import a2a60.cli` loads no numpy,
+        and numpy 1.x imports numpy.random, and through it `_hashlib`, with itself."""
         code = (f"{before}\n"
                 "import importlib.util, json, sys\n"
-                "import a2a60.cli\n"
+                "import a2a60.cli, numpy\n"
                 "imported = '_hashlib' in sys.modules\n"
                 "code = a2a60.cli.main(sys.argv[1:])\n"
                 "print(json.dumps([code, imported, '_hashlib' in sys.modules,\n"
@@ -820,6 +822,19 @@ class TestNonFiniteInputs:
         assert result.stdout == ""
         assert f"{field} must be finite" in result.stderr
 
+    @pytest.mark.parametrize("freq", ["nan", "inf", "-3", "0"])
+    @pytest.mark.parametrize("args", [("fit", "--model", "fi"),
+                                      ("sample", "--model", "fi", "--distance", "20", "--n", "2")],
+                             ids=["fit", "sample"])
+    def test_fi_rejects_a_bad_carrier_as_ci_does(self, run_cli, args, freq):
+        # the fi law never reads the carrier, so nothing but the CLI checks it
+        result = run_cli(*args, "--freq-ghz", freq)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: freq_ghz must be ")
+        assert result.stderr.count("\n") == 1
+        ci = ["ci" if arg == "fi" else arg for arg in args]
+        assert result == run_cli(*ci, "--freq-ghz", freq)
+
 
 class TestMalformedCsv:
     def test_over_long_field_is_a_row_error(self, run_cli, tmp_path):
@@ -920,3 +935,88 @@ class TestDeterminism:
         first, second = run_cli_process(*args), run_cli_process(*args)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def program_env(**preset):
+    """`src_env()` without the thread-count variables OpenBLAS reads, then `preset`."""
+    return {**{k: v for k, v in src_env().items() if k not in BLAS_THREADS}, **preset}
+
+
+class TestStartup:
+    """numpy loads with a command's first library module; each case in a fresh interpreter."""
+
+    def test_import_loads_no_numpy(self):
+        result = subprocess.run([sys.executable, "-c", "import sys, a2a60.cli\n"
+                                 "print('numpy' in sys.modules)"],
+                                capture_output=True, text=True, env=src_env())
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
+    @pytest.mark.parametrize("args, code", [(("--help",), 0), (("fit",), 2)])
+    def test_parsing_loads_no_numpy(self, args, code):
+        result = subprocess.run([sys.executable, "-X", "importtime", "-m", "a2a60.cli", *args],
+                                capture_output=True, text=True, env=src_env())
+        timed, other = [], []
+        for line in result.stderr.splitlines():
+            if line.startswith("import time:"):
+                timed.append(line.rsplit("|", 1)[1].strip())
+            else:
+                other.append(line)
+        assert result.returncode == code
+        assert "a2a60" in timed and "numpy" not in timed
+        if code:
+            assert result.stdout == ""
+            assert other[0].startswith("usage: a2a60 fit")
+            assert other[-1] == "a2a60 fit: error: the following arguments are required: --model"
+        else:
+            assert result.stdout.startswith("usage: a2a60") and other == []
+
+
+class TestBlasThreads:
+    """A program run loads numpy with one OpenBLAS thread unless the user chose a count;
+    each case in a fresh interpreter."""
+
+    pytestmark = pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                                    reason="reads /proc/self/status and /proc/self/maps")
+
+    def run_fit(self, program=True, first="", **preset):
+        """(exit code, the variables `fit --model ci` changed, as {name: new value or None},
+        the process's thread count after it, whether OpenBLAS is loaded) of an interpreter
+        that runs `first`, then `main()` with sys.argv set, or `main(argv)` if not `program`."""
+        code = ("import contextlib, io, json, os, sys\n"
+                f"{first}\n"
+                "before = dict(os.environ)\n"
+                "from a2a60.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = main({'' if program else 'sys.argv[1:]'})\n"
+                "changed = {k: os.environ.get(k) for k in before.keys() | os.environ.keys()\n"
+                "           if before.get(k) != os.environ.get(k)}\n"
+                "status, maps = open('/proc/self/status').read(), open('/proc/self/maps').read()\n"
+                "print(json.dumps([code, changed, int(status.split('Threads:')[1].split()[0]),\n"
+                "                  'openblas' in maps.lower()]))\n")
+        result = subprocess.run([sys.executable, "-c", code, "fit", "--model", "ci"],
+                                capture_output=True, text=True, env=program_env(**preset))
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    def test_program_run_pins_one_openblas_thread(self):
+        assert self.run_fit()[:2] == [0, {"OPENBLAS_NUM_THREADS": "1"}]
+
+    @pytest.mark.parametrize("name", BLAS_THREADS)
+    def test_program_run_keeps_a_preset_count(self, name):
+        assert self.run_fit(**{name: "3"})[:2] == [0, {}]
+
+    def test_program_run_after_numpy_loads_changes_nothing(self):
+        assert self.run_fit(first="import numpy")[:2] == [0, {}]
+
+    def test_main_with_arguments_changes_nothing(self):
+        assert self.run_fit(program=False)[:2] == [0, {}]
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS starts no pool on one CPU")
+    def test_program_run_starts_no_blas_thread(self):
+        code, _, threads, openblas = self.run_fit()
+        if not openblas:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert (code, threads) == (0, 1)
