@@ -51,21 +51,33 @@ def _log_distance(distance_m, path_loss_db) -> tuple[np.ndarray, np.ndarray]:
     return 10.0 * np.log10(d), pl
 
 
+def _rms(resid, *fitted) -> float:
+    """The root-mean-square residual, once it and the `fitted` parameters are finite:
+    losses that are each finite can still overflow a fit."""
+    sigma = float(np.sqrt(np.mean(resid**2)))
+    if not np.isfinite([sigma, *fitted]).all():
+        raise ValueError("path_loss_db values are too large to fit without overflow")
+    return sigma
+
+
 def fit_ci(distance_m, path_loss_db, freq_ghz: float) -> FitReport:
     """Fit the close-in exponent: least squares through the origin on the
     excess loss over the 1 m Friis reference."""
     x, pl = _log_distance(distance_m, path_loss_db)
     if not x.size:
         raise DegenerateFitError("cannot fit an empty point set")
-    y = pl - friis_reference_pl(freq_ghz)
+    intercept = friis_reference_pl(freq_ghz)
+    _check_finite(f"the 1 m Friis loss at freq_ghz={freq_ghz}", intercept)
     sxx = float(np.dot(x, x))
     if sxx == 0.0:
         raise DegenerateFitError(
             "all points lie at the 1 m reference distance; the exponent is unconstrained"
         )
-    ple = float(np.dot(x, y) / sxx)
-    resid = y - ple * x
-    sigma = float(np.sqrt(np.mean(resid**2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in _rms instead
+        y = pl - intercept
+        ple = float(np.dot(x, y) / sxx)
+        resid = y - ple * x
+        sigma = _rms(resid, ple)
     return FitReport(CiModel(freq_ghz, ple, sigma), tuple(resid.tolist()), x.size)
 
 
@@ -74,7 +86,8 @@ def fit_fi(distance_m, path_loss_db) -> FitReport:
     x, pl = _log_distance(distance_m, path_loss_db)
     if not x.size or x.min() == x.max():  # np.unique would import numpy.ma on numpy >= 2.3
         raise DegenerateFitError("need at least two points at two distinct distances")
-    ple, intercept = np.polyfit(x, pl, 1)
-    resid = pl - (intercept + ple * x)
-    sigma = float(np.sqrt(np.mean(resid**2)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails in _rms instead
+        ple, intercept = np.polyfit(x, pl, 1)
+        resid = pl - (intercept + ple * x)
+        sigma = _rms(resid, ple, intercept)
     return FitReport(FiModel(float(intercept), float(ple), sigma), tuple(resid.tolist()), x.size)

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import os
-import signal
 import statistics
 import subprocess
 import sys
@@ -446,12 +445,25 @@ class TestSampleCommand:
                            "--seed", "2").stdout.splitlines()) == 2989
 
     @pytest.mark.parametrize("model", ["ci", "fi"])
-    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 5000, 64 * 1024 + 1025])
     def test_lines_are_the_library_draws(self, run_cli, model, n):
         result = run_cli("sample", "--model", model, "--distance", "20", "--n", str(n),
                          "--seed", "11")
         assert result.returncode == 0
         assert result.stdout.splitlines(keepends=True) == library_lines(model, n, 11)
+
+    def test_negative_seed_is_an_error(self, run_cli):
+        result = run_cli("sample", "--distance", "20", "--n", "100000", "--seed", "-1")
+        assert result == (1, "", "error: seed must be >= 0, got -1\n")
+
+    def test_broken_stdout_exits_quietly(self, capsys, monkeypatch):
+        class BrokenStdout(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", BrokenStdout())
+        assert main(["sample", "--distance", "20", "--n", "100000", "--seed", "1"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_peak_memory_does_not_grow_with_n(self):
@@ -558,122 +570,11 @@ class TestSampleWithoutOpenssl:
         assert by_numpy == by_cli
 
 
-@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="the helper needs posix_spawn")
-class TestSampleHelper:
-    """From 64 blocks of 1024 draws on, a helper interpreter formats every odd block."""
-
-    @pytest.fixture
-    def spawns(self, monkeypatch):
-        """The argv of every process `sample` spawns."""
-        calls, spawn = [], os.posix_spawn
-
-        def counted(path, argv, *args, **kwargs):
-            calls.append(argv)
-            return spawn(path, argv, *args, **kwargs)
-
-        monkeypatch.setattr(os, "posix_spawn", counted)
-        return calls
-
-    @pytest.mark.parametrize("model", ["ci", "fi"])
-    @pytest.mark.parametrize("n", [64 * 1024 - 1, 64 * 1024, 64 * 1024 + 1, 64 * 1024 + 1025])
-    def test_lines_are_the_library_draws(self, run_cli, spawns, model, n):
-        result = run_cli("sample", "--model", model, "--distance", "20", "--n", str(n),
-                         "--seed", "11")
-        assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout.splitlines(keepends=True) == library_lines(model, n, 11)
-        assert len(spawns) == 1 and spawns[0][1:4] == ["-I", "-S", "-c"]
-
-    @pytest.mark.parametrize("n, helpers", [(1000, 0), (63 * 1024, 0), (63 * 1024 + 1, 1)])
-    def test_starts_from_64_blocks(self, run_cli, spawns, n, helpers):
-        result = run_cli("sample", "--distance", "20", "--n", str(n), "--seed", "3")
-        assert result.stdout.splitlines(keepends=True) == library_lines("ci", n, 3)
-        assert len(spawns) == helpers
-
-    def test_falls_back_to_formatting_in_process(self, run_cli, monkeypatch):
-        args = ("sample", "--distance", "20", "--n", str(64 * 1024 + 1025), "--seed", "5")
-        expected = run_cli(*args)
-
-        def fail(*args, **kwargs):
-            raise OSError("no spawn")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(sys, "executable", "")
-            assert run_cli(*args) == expected
-        with monkeypatch.context() as patch:
-            patch.setattr(os, "posix_spawn", fail)
-            assert run_cli(*args) == expected
-        with monkeypatch.context() as patch:
-            patch.delattr(os, "posix_spawn")
-            assert run_cli(*args) == expected
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_negative_seed_fails_before_the_helper_starts(self, run_cli, spawns):
-        result = run_cli("sample", "--distance", "20", "--n", "100000", "--seed", "-1")
-        assert result == (1, "", "error: seed must be >= 0, got -1\n")
-        assert spawns == []
-
-    def test_helper_that_exits_early_is_a_diagnostic(self, run_cli, monkeypatch, spawns):
-        monkeypatch.setattr(cli, "_HELPER", "import os; os._exit(3)")
-        result = run_cli("sample", "--distance", "20", "--n", "100000", "--seed", "1")
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr == "error: the helper process formatting the draws exited early\n"
-        assert len(spawns) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_broken_stdout_reaps_the_helper(self, capsys, monkeypatch, spawns):
-        class BrokenStdout(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
-        monkeypatch.setattr(sys, "stdout", BrokenStdout())
-        assert main(["sample", "--distance", "20", "--n", "100000", "--seed", "1"]) == 0
-        assert capsys.readouterr().err == ""
-        assert len(spawns) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_runs_where_sigchld_is_ignored(self, run_cli, spawns):
-        # the kernel then reaps the helper itself, and waitpid finds no child
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
-            result = run_cli("sample", "--distance", "20", "--n", "70000", "--seed", "4")
-        finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout.splitlines(keepends=True) == library_lines("ci", 70000, 4)
-        assert len(spawns) == 1
-
-    def test_one_page_pipes_do_not_deadlock(self):
-        # a frame of draws (8 KiB) and of lines (about 18 KiB) each overfill such a
-        # pipe, and `sample` keeps several blocks at the helper at once
-        fcntl = pytest.importorskip("fcntl")
-        if not hasattr(fcntl, "F_SETPIPE_SZ"):
-            pytest.skip("needs F_SETPIPE_SZ")
-        code = ("import fcntl, os, sys\n"
-                "pipe = os.pipe\n"
-                "def one_page_pipe():\n"
-                "    fds = pipe()\n"
-                "    fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, 4096)\n"
-                "    return fds\n"
-                "os.pipe = one_page_pipe\n"
-                "from a2a60.cli import main\n"
-                "sys.exit(main(sys.argv[1:]))\n")
-        result = subprocess.run(
-            [sys.executable, "-c", code, "sample", "--distance", "20", "--n", "100000",
-             "--seed", "8"],
-            capture_output=True, text=True, timeout=120, env=src_env())
-        assert (result.returncode, result.stderr) == (0, "")
-        assert result.stdout.splitlines(keepends=True) == library_lines("ci", 100000, 8)
-
-
 @pytest.mark.parametrize("args", [("compare", "--distances", "1:150:0.01"),
                                   ("sample", "--distance", "20", "--n", "1000000")],
                          ids=["compare", "sample"])
 def test_stdout_closed_early_exits_quietly(args):
-    # as `a2a60 ... | head -1` does; sample's helper formats the odd blocks here
+    # as `a2a60 ... | head -1` does, with blocks of lines still to write
     with subprocess.Popen([sys.executable, "-m", "a2a60.cli", *args], stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, env=src_env()) as process:
         assert process.stdout.readline()
@@ -834,6 +735,25 @@ class TestNonFiniteInputs:
         assert result.stderr.count("\n") == 1
         ci = ["ci" if arg == "fi" else arg for arg in args]
         assert result == run_cli(*ci, "--freq-ghz", freq)
+
+    @pytest.mark.parametrize("args, field", [
+        (("fit", "--model", "ci", "--freq-ghz", "1e308"), "freq_ghz"),
+        (("report", "--which", "table1", "--freq-ghz", "1e308"), "freq_ghz"),
+        (("fit", "--model", "ci", "--input"), "path_loss_db"),
+        (("fit", "--model", "fi", "--input"), "path_loss_db"),
+    ], ids=["fit-carrier", "report-carrier", "fit-ci-losses", "fit-fi-losses"])
+    def test_overflowing_fit_is_one_error_without_warnings(self, tmp_path, args, field):
+        # finite inputs whose fit overflows: a 1 m Friis loss of inf, or losses of 1.7e308
+        if args[-1] == "--input":
+            path = tmp_path / "huge.csv"
+            path.write_text("distance_m,height_m,rank,path_loss_db\n"
+                            + "".join(f"{d},6,,1.7e308\n" for d in (10, 20, 30)))
+            args = (*args, str(path))
+        result = subprocess.run([sys.executable, "-W", "error", "-m", "a2a60.cli", *args],
+                                capture_output=True, text=True, env=src_env())
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert field in result.stderr
 
 
 class TestMalformedCsv:
