@@ -15,49 +15,19 @@ import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregatedPoint",
-    "BeamPairRanking",
-    "BeamScanRecord",
-    "CiModel",
-    "CsvFormatError",
-    "DegenerateFitError",
-    "EmptySelectionError",
-    "FiModel",
-    "FitReport",
-    "MisalignmentTable",
-    "PUBLISHED_TABLE",
-    "ScenarioParams",
-    "aggregate_trials",
-    "beam_angle",
-    "fit_ci",
-    "fit_fi",
-    "fit_misalignment_table",
-    "free_space_pl",
-    "friis_reference_pl",
-    "load_csv",
-    "load_measurement_points",
-    "load_rank_points",
-    "load_reference_curves",
-    "mean_pl",
-    "misalignment_loss",
-    "oxygen_loss",
-    "pl_3gpp_los",
-    "rank_beam_pairs",
-    "sample_pl",
-    "save_aggregated_csv",
-    "scenario_defaults",
-    "to_fit_points",
-]
-
-_HOMES = {name: module for module, names in (  # the library module that defines each public name
-    ("beams", "PUBLISHED_TABLE BeamPairRanking MisalignmentTable beam_angle fit_misalignment_table "
-     "misalignment_loss rank_beam_pairs"),
-    ("dataset", "AggregatedPoint BeamScanRecord CsvFormatError EmptySelectionError aggregate_trials "
-     "load_csv load_measurement_points load_rank_points load_reference_curves save_aggregated_csv "
-     "to_fit_points"), ("fitting", "DegenerateFitError FitReport fit_ci fit_fi"),
-    ("pathloss", "CiModel FiModel free_space_pl friis_reference_pl mean_pl sample_pl"),
-    ("tr38901", "ScenarioParams oxygen_loss pl_3gpp_los scenario_defaults")) for name in names.split()}
+_MODULES = {  # each library module, in registration order, and the public names it defines
+    "published": "",
+    "pathloss": "CiModel FiModel free_space_pl friis_reference_pl mean_pl sample_pl",
+    "dataset": "AggregatedPoint BeamScanRecord CsvFormatError EmptySelectionError aggregate_trials "
+               "load_csv load_measurement_points load_rank_points load_reference_curves "
+               "save_aggregated_csv to_fit_points",
+    "fitting": "DegenerateFitError FitReport fit_ci fit_fi",
+    "tr38901": "ScenarioParams oxygen_loss pl_3gpp_los scenario_defaults",
+    "beams": "PUBLISHED_TABLE BeamPairRanking MisalignmentTable beam_angle fit_misalignment_table "
+             "misalignment_loss rank_beam_pairs",
+}
+_HOMES = {name: module for module, names in _MODULES.items() for name in names.split()}
+__all__ = sorted(_HOMES)
 _LOCK = threading.RLock()  # others wait out a run; its own thread re-enters, to read __dict__
 _UNRUN = {}  # each deferred module not run yet, and the namespace it starts from
 
@@ -79,7 +49,7 @@ class _Deferred(types.ModuleType):
         return types.ModuleType.__getattribute__(self, name)
 
 
-for _name in ("published", "pathloss", "dataset", "fitting", "tr38901", "beams"):
+for _name in _MODULES:
     _module = importlib.util.module_from_spec(importlib.util.find_spec(f"{__name__}.{_name}"))
     globals()[_name] = sys.modules[_module.__name__] = _module
     _UNRUN[_module], _module.__class__ = dict(vars(_module)), _Deferred

@@ -44,8 +44,8 @@ def _cell(value, float_format):
     return float_format(value) if isinstance(value, float) else str(value)
 
 
-def _emit(fmt: str, columns, rows, out=None) -> None:
-    out = out or sys.stdout
+def _emit(fmt: str, columns, rows) -> None:
+    out = sys.stdout
     if fmt == "csv":
         import csv  # here, not at the top: `sample` and csv-free commands do not load it
         writer = csv.writer(out, lineterminator="\n")
@@ -249,12 +249,9 @@ def _report_table3(args):
                 (published.TABLE3_PLE, published.TABLE3_INTERCEPT_DB, published.TABLE3_SIGMA),
                 notes):
             rows.append(_row(section, param, value, pub[rank], note))
-        if rank == 1:
-            rows.append(_row(section, "delta_deg", 0.0, published.TABLE3_DELTA_DEG[rank],
-                             "zero by definition for the best pair"))
-        else:
-            rows.append(_row(section, "delta_deg", None, published.TABLE3_DELTA_DEG[rank],
-                             needs_beams))
+        note = "zero by definition for the best pair" if rank == 1 else needs_beams
+        rows.append(_row(section, "delta_deg", 0.0 if rank == 1 else None,
+                         published.TABLE3_DELTA_DEG[rank], note))
     return rows
 
 
@@ -269,14 +266,12 @@ def _report_conclusion(args):
     ]
 
 
+_REPORTS = {"table1": _report_table1, "table2": _report_table2, "table3": _report_table3,
+            "conclusion": _report_conclusion}
+
+
 def cmd_report(args) -> None:
-    builders = {
-        "table1": _report_table1,
-        "table2": _report_table2,
-        "table3": _report_table3,
-        "conclusion": _report_conclusion,
-    }
-    rows = builders[args.which](args)
+    rows = _REPORTS[args.which](args)
     if args.which == "conclusion" and args.format == "markdown-table":
         computed = next(r for r in rows if r[1] == "intercept_db")[2]
         slope = next(r for r in rows if r[1] == "slope_db_per_decade")[2]
@@ -337,8 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = subs.add_parser("report", parents=[table],
                              help="regenerate a published table with deltas")
-    report.add_argument("--which", choices=("table1", "table2", "table3", "conclusion"),
-                        required=True)
+    report.add_argument("--which", choices=_REPORTS, required=True)
     report.set_defaults(func=cmd_report)
 
     return parser
@@ -350,8 +344,8 @@ def main(argv=None) -> int:
     if argv is None and "numpy" not in sys.modules and not os.environ.keys() & _BLAS_THREADS:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     args = _build_parser().parse_args(argv)
-    try:  # every subcommand takes the carrier, which the fi law never reads
-        pathloss._check_finite("freq_ghz", args.freq_ghz, gt=0.0, unit="GHz")
+    try:  # every subcommand takes the carrier, in TR 38.901's range; the fi law never reads it
+        pathloss._check_finite("freq_ghz", args.freq_ghz, ge=0.5, le=100.0, unit="GHz")
         args.func(args)
     except BrokenPipeError:  # stdout's reader left: say nothing, and let the flush at exit
         if sys.stdout is sys.__stdout__:  # write to nothing rather than fail again

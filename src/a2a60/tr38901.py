@@ -26,20 +26,8 @@ BREAKPOINT_C_M_S = 3.0e8
 DEFAULT_OXYGEN_ALPHA_DB_PER_KM = 15.0
 ENVIRONMENT_HEIGHT_M = 1.0  # effective environment height h_E for UMi/UMa
 
-SCENARIOS = ("umi", "uma", "rma", "inoo")
-
-# LOS applicability limit on distance, per scenario
-_MAX_DISTANCE_M = {"umi": 5_000.0, "uma": 5_000.0, "rma": 10_000.0, "inoo": 150.0}
-
 # (constant, pre-breakpoint slope, breakpoint-correction factor) of the one UMi/UMa law
 _UMI_UMA_COEFFICIENTS = {"umi": (32.4, 21.0, 9.5), "uma": (28.0, 22.0, 9.0)}
-
-_DEFAULT_HEIGHTS_M = {  # (BS height, UT height)
-    "umi": (10.0, 1.5),
-    "uma": (25.0, 1.5),
-    "rma": (35.0, 1.5),
-    "inoo": (3.0, 1.0),
-}
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -70,10 +58,9 @@ def scenario_defaults(scenario: str,
                       ) -> ScenarioParams:
     """Calibration-default parameters for `scenario` (see module docstring)."""
     key = scenario.lower()
-    if key not in _DEFAULT_HEIGHTS_M:
+    if key not in _SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
-    bs, ut = _DEFAULT_HEIGHTS_M[key]
-    return ScenarioParams(key, bs, ut, oxygen_alpha_db_per_km=oxygen_alpha_db_per_km)
+    return ScenarioParams(key, *_SCENARIOS[key][2], oxygen_alpha_db_per_km=oxygen_alpha_db_per_km)
 
 
 def oxygen_loss(distance_m, alpha_db_per_km: float):
@@ -126,15 +113,23 @@ def _pl_inoo(params, freq_ghz, d):
     return 32.4 + 17.3 * _log10(d) + 20.0 * math.log10(freq_ghz)
 
 
-_DISPATCH = {"umi": _pl_umi_uma, "uma": _pl_umi_uma, "rma": _pl_rma, "inoo": _pl_inoo}
+# per scenario: (its law, its LOS limit on distance, its default (BS height, UT height))
+_SCENARIOS = {
+    "umi": (_pl_umi_uma, 5_000.0, (10.0, 1.5)),
+    "uma": (_pl_umi_uma, 5_000.0, (25.0, 1.5)),
+    "rma": (_pl_rma, 10_000.0, (35.0, 1.5)),
+    "inoo": (_pl_inoo, 150.0, (3.0, 1.0)),
+}
+SCENARIOS = tuple(_SCENARIOS)
 
 
 def pl_3gpp_los(params: ScenarioParams, freq_ghz: float, distance_m):
     """LOS path loss for the scenario, plus the oxygen term, in dB."""
     _check_finite("freq_ghz", freq_ghz, ge=0.5, le=100.0, unit="GHz")
-    _check_finite("distance_m", distance_m, ge=1.0, le=_MAX_DISTANCE_M[params.scenario], unit="m",
+    law, max_distance_m, _ = _SCENARIOS[params.scenario]
+    _check_finite("distance_m", distance_m, ge=1.0, le=max_distance_m, unit="m",
                   note=f" (the {params.scenario} LOS range)")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the distance
-        pl = (_DISPATCH[params.scenario](params, freq_ghz, distance_m)
+        pl = (law(params, freq_ghz, distance_m)
               + oxygen_loss(distance_m, params.oxygen_alpha_db_per_km))
     return _check_result(pl, distance_m, f"LOS path loss of the {params.scenario} scenario")

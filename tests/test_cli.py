@@ -380,7 +380,8 @@ class TestEmit:
     ], ids=["none", "one", "three"])
     def test_json_streams_what_json_dump_writes(self, rows):
         out = io.StringIO()
-        cli._emit("json", self.COLUMNS, iter(rows), out)
+        with contextlib.redirect_stdout(out):
+            cli._emit("json", self.COLUMNS, iter(rows))
         expected = io.StringIO()
         json.dump([dict(zip(self.COLUMNS, row)) for row in rows], expected, indent=2)
         assert out.getvalue() == expected.getvalue() + "\n"
@@ -735,6 +736,29 @@ class TestNonFiniteInputs:
         assert result.stderr.count("\n") == 1
         ci = ["ci" if arg == "fi" else arg for arg in args]
         assert result == run_cli(*ci, "--freq-ghz", freq)
+
+    CARRIER_COMMANDS = {
+        "fit-ci": ("fit", "--model", "ci"),
+        "fit-fi": ("fit", "--model", "fi"),
+        "sample-ci": ("sample", "--distance", "20", "--n", "2"),
+        "sample-fi": ("sample", "--model", "fi", "--distance", "20", "--n", "2"),
+        "report-table1": ("report", "--which", "table1"),
+        "compare": ("compare", "--oxygen-db-per-km", "0"),
+    }
+
+    @pytest.mark.parametrize("freq", ["0.4999", "100.001", "1e200", "1e-300"])
+    @pytest.mark.parametrize("args", CARRIER_COMMANDS.values(), ids=CARRIER_COMMANDS)
+    def test_carrier_outside_tr38901_range_is_one_error(self, run_cli, args, freq):
+        # every subcommand takes the carrier in TR 38.901's 0.5-100 GHz, as compare's references do
+        assert run_cli(*args, "--freq-ghz", freq) == (
+            1, "", f"error: freq_ghz must be >= 0.5 GHz and <= 100 GHz, got {float(freq)} GHz\n")
+
+    @pytest.mark.parametrize("freq", ["0.5", "100"])
+    @pytest.mark.parametrize("args", CARRIER_COMMANDS.values(), ids=CARRIER_COMMANDS)
+    def test_carrier_range_is_closed(self, run_cli, args, freq):
+        result = run_cli(*args, "--freq-ghz", freq)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout
 
     @pytest.mark.parametrize("args, field", [
         (("fit", "--model", "ci", "--freq-ghz", "1e308"), "freq_ghz"),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +151,15 @@ class TestDegenerateInputs:
                 fit([6.0, 12.0, 18.0], [85.0, 90.0, float("nan")])
             with pytest.raises(ValueError, match="two columns of one length"):
                 fit([6.0, 12.0], [85.0])
+
+    def test_ci_carrier_whose_friis_loss_overflows_is_one_error(self):
+        # the CLI bounds the carrier to 0.5-100 GHz, so only a library call reaches this check
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as raised:
+                fit_ci(*ci_points(60.48, 2.25), 1e308)
+        assert "freq_ghz" in str(raised.value)
+        assert caught == []
 
     @given(field=st.sampled_from(["distance_m", "path_loss_db"]), bad=NON_FINITE,
            at=st.integers(0, 2), kind=st.sampled_from(["ci", "fi"]))

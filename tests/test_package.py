@@ -35,6 +35,14 @@ def test_all_lists_every_public_name():
     assert len(a2a60.__all__) == len(public)
 
 
+def test_every_public_name_lives_in_its_home_module():
+    # a name filed under a module that only re-imports it would resolve, but run that module too
+    for name, home in a2a60._HOMES.items():
+        value = getattr(a2a60, name)
+        if isinstance(value, type) or inspect.isfunction(value):
+            assert value.__module__ == f"a2a60.{home}", name
+
+
 def test_help_renders_every_record_signature():
     text = pydoc.render_doc(a2a60, renderer=pydoc.plaintext)
     assert "CiModel(freq_ghz: float, ple: float, sigma_db: float = 0.0) -> None" in text
