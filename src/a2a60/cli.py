@@ -59,13 +59,11 @@ def _emit(fmt: str, columns, rows) -> None:
             out.write(opening + json.dumps(dict(zip(columns, row)), indent=2).replace("\n", "\n  "))
             opening = ",\n  "
         out.write("[]\n" if opening == "[\n  " else "\n]\n")
-    elif fmt == "markdown-table":
+    else:  # markdown-table, the last of FORMATS, which argparse holds --format to
         out.write("| " + " | ".join(columns) + " |\n")
         out.write("|" + "|".join(" --- " for _ in columns) + "|\n")
         for row in rows:
             out.write("| " + " | ".join(_cell(v, "{:.2f}".format) for v in row) + " |\n")
-    else:
-        raise ValueError(f"unknown output format {fmt!r}")
 
 
 def _read_points(args):
@@ -165,7 +163,9 @@ def cmd_sample(args) -> None:
     else:
         model = pathloss.FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
                         ple, sigma)
-    blocks = pathloss._draw_blocks(model, args.distance, args.n, args.seed, _BLOCK)
+
+    def blocks():  # each call draws afresh, from its own generator seeded with --seed
+        return pathloss._draw_blocks(model, args.distance, args.n, args.seed, _BLOCK)
     # numpy.random loads OpenSSL's libcrypto (3.4 MiB) only through `secrets`, `hmac`, `hashlib`
     # and `_hashlib`; with `_hashlib` blocked they use CPython's built-in hashes. Skipped where
     # `_hashlib` is loaded already, or where hashlib would log a missing built-in hash to stderr

@@ -276,11 +276,8 @@ def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
             raise
         return column
 
-    starts = [np.zeros(min(len(trials), 1), np.intp)]  # where each run of rows at one point opens
-    for i in range(1, len(trials), _BATCH_ROWS):
-        d, h = (trials[name][i - 1:i + _BATCH_ROWS] for name in RAW_COLUMNS[:2])
-        starts.append(np.flatnonzero((d[1:] != d[:-1]) | (h[1:] != h[:-1])) + i)
-    starts = np.concatenate(starts)
+    d, h = (trials[name] for name in RAW_COLUMNS[:2])  # starts: where each run at one point opens
+    starts = np.flatnonzero(np.append(True, (d[1:] != d[:-1]) | (h[1:] != h[:-1]))[:len(trials)])
     # checked at the run starts alone: a run's rows share them, and a NaN opens a run of its own
     d, h = (checked(name, starts) for name in RAW_COLUMNS[:2])
     by_point = np.lexsort((h, d))  # d, then h
@@ -396,9 +393,9 @@ def _open_utf8(path):
     return io.TextIOWrapper(binary, encoding="utf-8", newline="")
 
 
-def load_measurement_points(name: str = MEASUREMENTS_FILE) -> np.ndarray:
+def load_measurement_points() -> np.ndarray:
     """Best-beam aggregated points (27 bundled (distance, height) markers)."""
-    return load_csv(fixture_path(name))
+    return load_csv(fixture_path(MEASUREMENTS_FILE))
 
 
 def load_rank_points(rank: int) -> np.ndarray:
@@ -412,9 +409,9 @@ def load_rank_points(rank: int) -> np.ndarray:
     return load_csv(fixture_path(RANK_FILES[rank]))
 
 
-def load_reference_curves(name: str = REFERENCE_CURVES_FILE) -> dict[str, list[tuple[float, float]]]:
+def load_reference_curves() -> dict[str, list[tuple[float, float]]]:
     """Bundled reference curves as {curve: [(distance_m, path_loss_db), ...]}."""
-    table = _read(fixture_path(name), _CURVE_SCHEMAS)
+    table = _read(fixture_path(REFERENCE_CURVES_FILE), _CURVE_SCHEMAS)
     curves: dict[str, list[tuple[float, float]]] = {}
     for curve, distance_m, path_loss_db in table.tolist():
         curves.setdefault(curve, []).append((distance_m, path_loss_db))

@@ -182,23 +182,19 @@ def sample_pl(model: CiModel | FiModel, distance_m: float, n: int, seed: int) ->
     by this call and seeded with `seed`, so identical arguments always return
     bit-identical output.
     """
-    return next(_draw_blocks(model, distance_m, n, seed)(), np.empty(0))
+    return next(_draw_blocks(model, distance_m, n, seed), np.empty(0))
 
 
 def _draw_blocks(model: CiModel | FiModel, distance_m: float, n: int, seed: int, block=None):
-    """The draws of `sample_pl` in checked arrays of up to `block` (default all)
-    values, yielded afresh by each call of the function it returns."""
+    """The draws of `sample_pl` in checked arrays of up to `block` (default all) values."""
     _check_finite("n", n, ge=0, whole=True)
     _check_finite("seed", seed, ge=0, whole=True)
     n, seed, mu = int(n), int(seed), mean_pl(model, distance_m)
     block = block or max(n, 1)
-
-    def blocks():
-        rng = np.random.default_rng(seed)  # drawn block by block, the same floats as at once
-        for start in range(0, n, block):
-            values = mu + rng.normal(0.0, model.sigma_db, size=min(block, n - start))
-            # the extremes (NaN among them) show any draw that is not finite, with no array per draw
-            if not -math.inf < values.min() <= values.max() < math.inf:
-                raise ValueError(f"a draw of {model} at distance_m={distance_m} m is not finite")
-            yield values
-    return blocks
+    rng = np.random.default_rng(seed)  # drawn block by block, the same floats as at once
+    for start in range(0, n, block):
+        values = mu + rng.normal(0.0, model.sigma_db, size=min(block, n - start))
+        # the extremes (NaN among them) show any draw that is not finite, with no array per draw
+        if not -math.inf < values.min() <= values.max() < math.inf:
+            raise ValueError(f"a draw of {model} at distance_m={distance_m} m is not finite")
+        yield values

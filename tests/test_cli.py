@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from a2a60 import (
     CiModel,
@@ -778,6 +780,117 @@ class TestNonFiniteInputs:
         assert (result.returncode, result.stdout) == (1, "")
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
         assert field in result.stderr
+
+
+# what a numeric flag draws in place of a valid value: ±0, subnormals, huge finite
+# values, negatives, nan and ±inf
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1.0, -60.0, 1e200,
+                            1e308, -1e308, sys.float_info.max, math.nan, math.inf, -math.inf])
+# an integer flag's: those, whose float text argparse rejects, and integers out of range
+WHOLE_EXTREMES = st.one_of(st.sampled_from([-1, 10 ** 8 + 1, 2 ** 64, -10 ** 30, 10 ** 400]),
+                           EXTREMES).map(repr)
+
+
+def number(valid):
+    """A float flag's (valid, extreme) texts."""
+    return valid.map(repr), EXTREMES.map(repr)
+
+
+def whole(valid):
+    """An integer flag's (valid, extreme) texts."""
+    return valid.map(repr), WHOLE_EXTREMES
+
+
+def choice(*values):
+    """A flag's texts with no extreme."""
+    return st.sampled_from(values), None
+
+
+def grid():
+    """--distances START:STOP:STEP's (valid, extreme) texts: at most 400 points when
+    valid; in the extreme, each part valid or extreme."""
+    parts = (st.floats(1.0, 200.0), st.floats(1.0, 200.0), st.floats(0.5, 50.0))
+    return tuple(st.tuples(*(part.map(repr) for part in each)).map(":".join)
+                 for each in (parts, [st.one_of(part, EXTREMES) for part in parts]))
+
+
+CARRIER = {"--freq-ghz": number(st.sampled_from([0.5, 28.0, 60.0, 60.48, 100.0]))}
+TABLE = {**CARRIER, "--format": choice(*FORMATS)}
+# each subcommand's required flags, and the (valid, extreme) texts of all of its flags
+CONTRACT_FLAGS = {
+    "fit": (("--model",), {**TABLE, "--model": choice("ci", "fi"),
+                           "--height": (st.sampled_from(["all", "6", "12", "15"]),
+                                        EXTREMES.map(repr)),
+                           "--rank": (st.sampled_from(["all", "none", "best", "1", "2"]),
+                                      WHOLE_EXTREMES)}),
+    "compare": ((), {**TABLE, "--oxygen-db-per-km": number(st.floats(0.0, 30.0)),
+                     "--distances": grid()}),
+    "sample": (("--distance", "--n"),
+               {**CARRIER, "--distance": number(st.floats(1.0, 1000.0)),
+                "--n": whole(st.integers(0, 3000)), "--model": choice("ci", "fi"),
+                "--seed": whole(st.integers(0, 2 ** 64)), "--ple": number(st.floats(0.0, 6.0)),
+                "--sigma": number(st.floats(0.0, 20.0)),
+                "--intercept": number(st.floats(0.0, 150.0))}),
+    "report": (("--which",), {**TABLE, "--which": choice(*sorted(cli._REPORTS))}),
+}
+
+
+@st.composite
+def contract_argv(draw):
+    """A subcommand and some of its flags, at most two of them extreme, each as
+    --flag=value: argparse takes `--ple -1e308` for two options."""
+    command = draw(st.sampled_from(sorted(CONTRACT_FLAGS)))
+    required, texts = CONTRACT_FLAGS[command]
+    flags = [*required, *draw(st.lists(st.sampled_from([f for f in texts if f not in required]),
+                                       unique=True))]
+    odd = [flag for flag in flags if texts[flag][1] is not None] or [None]
+    extreme = draw(st.sets(st.sampled_from(odd), max_size=2))
+    return [command, *(f"{flag}={draw(texts[flag][flag in extreme])}" for flag in flags)]
+
+
+def not_finite(text):
+    """Whether `text` reads as a float that is not finite."""
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+class TestCliContract:
+    """`main` over every subcommand and format, flags valid and extreme: stdout and
+    exit 0, or one `error:` line and exit 1, or argparse's usage error; nothing escapes."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argv=contract_argv())
+    # the extreme-flag probes of earlier changes, which random draws reach rarely
+    @example(["fit", "--model=ci", "--freq-ghz=1e200"])
+    @example(["fit", "--model=ci", "--freq-ghz=1e-300"])
+    @example(["report", "--which=table2", "--freq-ghz=1e308"])
+    @example(["sample", "--distance=20", "--n=2", "--sigma=1e308"])
+    @example(["sample", "--distance=20", "--n=1000", f"--sigma={sys.float_info.max!r}"])
+    @example(["compare", "--oxygen-db-per-km=1e308"])
+    @example(["compare", "--distances=1:150:1e-300"])
+    def test_exit_code_and_streams(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        stdout, stderr = out.getvalue(), err.getvalue()
+        if code == 0:
+            assert stderr == ""
+            # every cell of csv, json or markdown, and every number of the conclusion's equation
+            assert not list(filter(not_finite, re.split(r"[\s,|():]+", stdout)))
+        elif code == 1:
+            assert stdout == ""
+            assert stderr.startswith("error: ") and stderr.endswith("\n")
+            assert stderr.count("\n") == 1
+        else:
+            assert code == 2
+            assert stdout == ""
+            assert stderr.startswith(f"usage: a2a60 {argv[0]} ")
+            assert f"\na2a60 {argv[0]}: error: " in stderr
 
 
 class TestMalformedCsv:

@@ -161,6 +161,17 @@ class TestDegenerateInputs:
         assert "freq_ghz" in str(raised.value)
         assert caught == []
 
+    @pytest.mark.parametrize("fit", [lambda d, pl: fit_ci(d, pl, 60.48), fit_fi],
+                             ids=["ci", "fi"])
+    def test_finite_losses_whose_fit_overflows_are_one_error(self, fit):
+        # each loss is finite, but their squares and sums are not
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as raised:
+                fit([10.0, 20.0, 30.0], [1.7e308] * 3)
+        assert str(raised.value) == "path_loss_db values are too large to fit without overflow"
+        assert caught == []
+
     @given(field=st.sampled_from(["distance_m", "path_loss_db"]), bad=NON_FINITE,
            at=st.integers(0, 2), kind=st.sampled_from(["ci", "fi"]))
     def test_fit_point_rejects_non_finite_field_by_name(self, field, bad, at, kind):
