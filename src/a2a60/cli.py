@@ -46,12 +46,9 @@ def _cell(value, float_format):
 
 def _emit(fmt: str, columns, rows) -> None:
     out = sys.stdout
-    if fmt == "csv":
-        import csv  # here, not at the top: `sample` and csv-free commands do not load it
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v, repr) for v in row])
+    if fmt == "csv":  # no cell holds a comma, a quote or a line break, which csv.writer quotes
+        for row in (columns, *rows):  # a list: the header, then fit's or report's rows
+            out.write(",".join([_cell(v, repr) for v in row]) + "\n")
     elif fmt == "json":  # one object at a time, laid out as json.dump(rows, indent=2) would
         import json  # here, not at the top: no other format or command loads it
         opening = "[\n  "
@@ -73,20 +70,23 @@ def _read_points(args):
     return dataset._check_schema(dataset.load_csv(args.input), dataset.AGGREGATED_COLUMNS, args.command)
 
 
-def _selection(args, flag, convert):
-    """The --FLAG filter for dataset.to_fit_points, which checks its range: "all", or
-    the text converted by `convert`; text that does not convert names the flag."""
+def _selection(args, flag, field, convert):
+    """The --FLAG filter of to_fit_points: "all", or the text `convert`ed, in `field`'s range."""
     text = getattr(args, flag)
+    if text == "all":
+        return text
     try:
-        return text if text == "all" else convert(text)
+        dataset._check_fields(((field, value := convert(text)),))
     except ValueError as exc:
         raise ValueError(f"invalid --{flag} {text!r}: {exc}") from None
+    return value
 
 
 def cmd_fit(args) -> None:
-    rank = _selection(args, "rank", lambda text: None if text.lower() in ("none", "best", "")
+    rank = _selection(args, "rank", "rank", lambda text: 1 if text.lower() in ("none", "best", "")
                       else int(text))
-    points = dataset.to_fit_points(_read_points(args), _selection(args, "height", float), rank)
+    height = _selection(args, "height", "height_m", float)
+    points = dataset.to_fit_points(_read_points(args), height, rank)
     report = fitting.fit_ci(*points, args.freq_ghz) if args.model == "ci" else fitting.fit_fi(*points)
     columns = ("model", "points", "intercept_db", "ple", "sigma_db", "mse_db2")
     rows = [(args.model, report.point_count, report.model.intercept_db, report.model.ple,
@@ -153,6 +153,7 @@ def _lines(block) -> str:
 
 def cmd_sample(args) -> None:
     pathloss._check_finite("--n", args.n, ge=0, le=_MAX_DRAWS)
+    pathloss._check_finite("--seed", args.seed, ge=0)
     pub = published.TABLE1[args.model]
     ple = pub["ple"] if args.ple is None else args.ple
     sigma = pub["sigma"] if args.sigma is None else args.sigma

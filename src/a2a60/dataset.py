@@ -25,7 +25,6 @@ import warnings
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
@@ -367,27 +366,22 @@ def save_aggregated_csv(points, dest) -> None:
     table = points if isinstance(points, np.ndarray) else np.array(points, _AGGREGATED_DTYPE)
     _check_schema(table, AGGREGATED_COLUMNS, "save_aggregated_csv")
     _check_fields((name, table[name]) for name in AGGREGATED_COLUMNS)
-    rows = table.tolist()  # Python numbers, whose repr is plain
     with (nullcontext(dest) if hasattr(dest, "write")
           else open(dest, "w", newline="", encoding="utf-8")) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(AGGREGATED_COLUMNS)
-        for d, h, rank, pl in rows:
-            writer.writerow([repr(d), repr(h), "" if rank == 1 else rank, repr(pl)])
+        handle.write(",".join(AGGREGATED_COLUMNS) + "\r\n")  # csv.writer's lines: nothing to quote
+        for d, h, rank, pl in table.tolist():  # Python numbers, whose repr is plain
+            handle.write(f"{d!r},{h!r},{'' if rank == 1 else rank},{pl!r}\r\n")
 
 
-def fixture_path(name: str):
-    """Locate a bundled fixture, honoring the A2A_DATA_DIR override."""
-    root = os.environ.get(DATA_DIR_ENV)
-    if root:
-        return Path(root) / name
-    return resources.files(__package__) / "data" / name
+def fixture_path(name: str) -> Path:
+    """Locate a bundled fixture, in the package's data directory or the A2A_DATA_DIR override."""
+    return Path(os.environ.get(DATA_DIR_ENV) or Path(__file__).with_name("data")) / name
 
 
 def _open_utf8(path):
-    """`path` (a file name or a Traversable) as UTF-8 text past a leading byte-order
-    mark, as the utf-8-sig codec reads it, without importing that codec's module."""
-    binary = path.open("rb") if hasattr(path, "open") else open(path, "rb")
+    """The file `path` as UTF-8 text past a leading byte-order mark, as the
+    utf-8-sig codec reads it, without importing that codec's module."""
+    binary = open(path, "rb")
     if binary.read(3) != "\ufeff".encode():
         binary.seek(0)
     return io.TextIOWrapper(binary, encoding="utf-8", newline="")

@@ -35,6 +35,8 @@ def _check_finite(name: str, value, *, gt=-math.inf, ge=-math.inf, le=math.inf,
         raise ValueError(f"{name} must be finite, got {value}")
     if whole and value % 1:
         raise ValueError(f"{name} must be a whole number, got {value}")
+    if isinstance(value, int) and len(digits := str(abs(value))) > 17:  # d.ddde+N; float() overflows
+        value = f"{'-' * (value < 0)}{digits[0]}.{digits[1:17]}e+{len(digits) - 1}"
     unit = f" {unit}" if unit else ""
     bounds = " and ".join(f"{op} {bound:.15g}{unit}"
                           for op, bound in ((">", gt), (">=", ge), ("<=", le))

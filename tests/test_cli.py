@@ -176,6 +176,7 @@ class TestFitCommand:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ")
         assert message in result.stderr
+        assert result.stderr.startswith(f"error: invalid {flag} {value!r}: ")
         assert "Traceback" not in result.stderr
 
     def test_json_matches_csv_to_ten_digits(self, run_cli):
@@ -388,6 +389,21 @@ class TestEmit:
         json.dump([dict(zip(self.COLUMNS, row)) for row in rows], expected, indent=2)
         assert out.getvalue() == expected.getvalue() + "\n"
 
+    @pytest.mark.parametrize("args", [
+        ("fit", "--model", "ci"), ("fit", "--model", "fi", "--height", "12", "--rank", "best"),
+        *(("report", "--which", which) for which in cli._REPORTS)], ids=" ".join)
+    def test_csv_is_what_csv_writer_writes(self, run_cli, monkeypatch, args):
+        # the lines are joined unquoted: no cell holds a comma, a quote or a line break
+        tables, emit = [], cli._emit
+
+        def spy(fmt, columns, rows):
+            tables.append([columns, *rows])
+            emit(fmt, columns, tables[-1][1:])
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        result = run_cli(*args)
+        assert result == (0, csv_text(tables[0]), "")
+
 
 def library_draws(model, n, seed):
     """`sample_pl`'s draws of the published law at 20 m."""
@@ -457,7 +473,7 @@ class TestSampleCommand:
 
     def test_negative_seed_is_an_error(self, run_cli):
         result = run_cli("sample", "--distance", "20", "--n", "100000", "--seed", "-1")
-        assert result == (1, "", "error: seed must be >= 0, got -1\n")
+        assert result == (1, "", "error: --seed must be >= 0, got -1\n")
 
     def test_broken_stdout_exits_quietly(self, capsys, monkeypatch):
         class BrokenStdout(io.StringIO):
@@ -891,6 +907,20 @@ class TestCliContract:
             assert stdout == ""
             assert stderr.startswith(f"usage: a2a60 {argv[0]} ")
             assert f"\na2a60 {argv[0]}: error: " in stderr
+
+
+@pytest.mark.parametrize("argv, message", [  # numbers of 41 to about 300 digits were printed whole
+    (["sample", "--distance", "20", "--n", "1" + "0" * 60],
+     "--n must be >= 0 and <= 100000000, got 1.0000000000000000e+60"),
+    (["compare", "--distances", "1:150:1e-300"], "invalid --distances '1:150:1e-300': grid point "
+                                                "count must be <= 1000000, got 1.4899999999999999e+302"),
+    (["fit", "--model", "ci", "--rank", "1" + "0" * 40], f"invalid --rank '1{'0' * 40}': rank must "
+                                                         "be >= 1 and <= 400, got 1.0000000000000000e+40"),
+])
+def test_error_line_bounds_a_huge_number(run_cli, argv, message):
+    result = run_cli(*argv)
+    assert result == (1, "", f"error: {message}\n")
+    assert len(result.stderr) < 200
 
 
 class TestMalformedCsv:

@@ -215,6 +215,14 @@ class TestBundledFixtures:
         with pytest.raises(FileNotFoundError):
             load_measurement_points()
 
+    def test_fixture_path_is_beside_the_package(self, tmp_path, monkeypatch):
+        bundled = Path(dataset.__file__).with_name("data") / MEASUREMENTS_FILE
+        assert fixture_path(MEASUREMENTS_FILE) == bundled and bundled.is_file()
+        monkeypatch.setenv(DATA_DIR_ENV, "")  # empty: unset
+        assert fixture_path(MEASUREMENTS_FILE) == bundled
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        assert fixture_path(MEASUREMENTS_FILE) == tmp_path / MEASUREMENTS_FILE
+
     def test_reference_curve_rows_are_checked(self, tmp_path, monkeypatch):
         (tmp_path / REFERENCE_CURVES_FILE).write_text(
             "curve,distance_m,path_loss_db\numi,6,84.5\n\numi,nan,85.0\n"
@@ -1069,6 +1077,15 @@ class TestRoundTrip:
                                              r"field, got dtype float64$"):
             save_aggregated_csv(all_f8_rank_2_5(), dest)
         assert not dest.exists()
+
+    def test_bytes_are_what_csv_writer_writes(self, tmp_path):
+        # the default dialect's \r\n lines; no cell, a number or a blank, is quoted
+        rows = [(6.0, 12.0, 1, 85.5), (5e-324, 1e308, 400, -0.0), (0.1 + 0.2, 15.0, 2, -1e-300)]
+        expected = io.StringIO()
+        csv.writer(expected).writerows([dataset.AGGREGATED_COLUMNS] + [
+            (repr(d), repr(h), "" if rank == 1 else rank, repr(pl)) for d, h, rank, pl in rows])
+        save_aggregated_csv(np.array(rows, dataset._AGGREGATED_DTYPE), tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == expected.getvalue().encode()
 
     def test_best_pair_is_written_blank(self):
         points = [AggregatedPoint(6.0, 12.0, 85.5, rank=1), AggregatedPoint(9.0, 12.0, 90.25)]

@@ -219,6 +219,20 @@ class TestColumnCheck:
         assert str(exc.value) == message
 
 
+class TestHugeIntegers:
+    @pytest.mark.parametrize("value, shown", [
+        (10 ** 16, "10000000000000000"),  # 17 digits print whole
+        (123456789012345678, "1.2345678901234567e+17"),  # 18 on: 17 digits, cut, not rounded
+        (10 ** 60, "1.0000000000000000e+60"),
+        (-(10 ** 40) - 1, "-1.0000000000000000e+40"),
+        (10 ** 400, "1.0000000000000000e+400"),  # past float's range
+    ])
+    def test_a_huge_integer_prints_in_exponent_form(self, value, shown):
+        with pytest.raises(ValueError) as exc:
+            pathloss._check_finite("x", value, ge=0, le=10)
+        assert str(exc.value) == f"x must be >= 0 and <= 10, got {shown}"
+
+
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
