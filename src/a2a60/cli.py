@@ -123,9 +123,12 @@ def cmd_compare(args) -> None:
         return np.array((d, pathloss.mean_pl(ci, d), *(tr38901.pl_3gpp_los(r, args.freq_ghz, d)
                          for r in references), pathloss.free_space_pl(args.freq_ghz, d)))
 
+    far = start + last * step  # the oxygen term, alpha * d / 1000, is largest here
+    if far >= 0.0 and not np.isfinite(tr38901.oxygen_loss(far, oxygen)):
+        raise ValueError(f"--oxygen-db-per-km {oxygen!r} overflows the oxygen loss at {far!r} m")
     # each column's valid distances form an interval: if the grid's two ends
     # pass, every point does, so no row of an out-of-range grid is written
-    columns(np.array([start, start + last * step]))
+    columns(np.array([start, far]))
     try:  # then its size, before any row is written
         pathloss._check_finite("grid point count", last + 1, le=_MAX_GRID_POINTS)
     except ValueError as exc:
@@ -157,30 +160,15 @@ def cmd_sample(args) -> None:
     pub = published.TABLE1[args.model]
     ple = pub["ple"] if args.ple is None else args.ple
     sigma = pub["sigma"] if args.sigma is None else args.sigma
-    if args.model == "ci":
-        if args.intercept is not None:  # the ci model's intercept is the 1 m Friis loss
-            raise ValueError("--intercept needs --model fi")
-        model = pathloss.CiModel(args.freq_ghz, ple, sigma)
-    else:
-        model = pathloss.FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
-                        ple, sigma)
-
-    def blocks():  # each call draws afresh, from its own generator seeded with --seed
-        return pathloss._draw_blocks(model, args.distance, args.n, args.seed, _BLOCK)
-    # numpy.random loads OpenSSL's libcrypto (3.4 MiB) only through `secrets`, `hmac`, `hashlib`
-    # and `_hashlib`; with `_hashlib` blocked they use CPython's built-in hashes. Skipped where
-    # `_hashlib` is loaded already, or where hashlib would log a missing built-in hash to stderr
-    hashes = ["_md5", "_sha1", "_sha3", "_blake2"] + (
-        ["_sha2"] if sys.version_info >= (3, 12) else ["_sha256", "_sha512"])
-    if "_hashlib" not in sys.modules and all(map(importlib.util.find_spec, hashes)):
-        sys.modules["_hashlib"] = None
-        try:
-            import numpy.random  # noqa: F401
-        finally:
-            del sys.modules["_hashlib"]
-    for _ in blocks():  # a first pass checks every draw, so an error leaves stdout empty
+    if args.model == "ci" and args.intercept is not None:  # its intercept is the 1 m Friis loss
+        raise ValueError("--intercept needs --model fi")
+    model = (pathloss.CiModel(args.freq_ghz, ple, sigma) if args.model == "ci" else
+             pathloss.FiModel(pub["intercept_db"] if args.intercept is None else args.intercept,
+                              ple, sigma))
+    draws = (model, args.distance, args.n, args.seed, _BLOCK)  # each pass draws afresh from --seed
+    for _ in pathloss._draw_blocks(*draws):  # check every draw first: an error leaves stdout empty
         pass
-    sys.stdout.writelines(map(_lines, blocks()))  # memory does not grow with --n
+    sys.stdout.writelines(map(_lines, pathloss._draw_blocks(*draws)))  # flat memory for any --n
 
 
 def _row(section, param, computed, pub, note=""):
@@ -258,13 +246,15 @@ def _report_table3(args):
 
 def _report_conclusion(args):
     report = fitting.fit_ci(*dataset.to_fit_points(_read_points(args), rank=1), args.freq_ghz)
-    pub = published.CONCLUSION
-    return [
-        _row("conclusion", "intercept_db", report.model.intercept_db, pub["intercept_db"]),
-        _row("conclusion", "slope_db_per_decade", 10.0 * report.model.ple,
-             pub["slope_db_per_decade"]),
-        *_residual_rows("conclusion", report, pub["sigma"]),
-    ]
+    pub, intercept, slope = published.CONCLUSION, report.model.intercept_db, 10.0 * report.model.ple
+    rows = [_row("conclusion", "intercept_db", intercept, pub["intercept_db"]),
+            _row("conclusion", "slope_db_per_decade", slope, pub["slope_db_per_decade"]),
+            *_residual_rows("conclusion", report, pub["sigma"])]
+    if args.format == "markdown-table":  # the fitted law as an equation, above the table
+        sys.stdout.write(f"PL(d) = {intercept:.2f} + {slope:.2f} log10(d) dB (published: "
+                         f"{pub['intercept_db']} + {pub['slope_db_per_decade']} log10(d), "
+                         f"sigma {pub['sigma']})\n\n")
+    return rows
 
 
 _REPORTS = {"table1": _report_table1, "table2": _report_table2, "table3": _report_table3,
@@ -272,17 +262,7 @@ _REPORTS = {"table1": _report_table1, "table2": _report_table2, "table3": _repor
 
 
 def cmd_report(args) -> None:
-    rows = _REPORTS[args.which](args)
-    if args.which == "conclusion" and args.format == "markdown-table":
-        computed = next(r for r in rows if r[1] == "intercept_db")[2]
-        slope = next(r for r in rows if r[1] == "slope_db_per_decade")[2]
-        pub = published.CONCLUSION
-        sys.stdout.write(
-            f"PL(d) = {computed:.2f} + {slope:.2f} log10(d) dB "
-            f"(published: {pub['intercept_db']} + {pub['slope_db_per_decade']} log10(d), "
-            f"sigma {pub['sigma']})\n\n"
-        )
-    _emit(args.format, REPORT_COLUMNS, rows)
+    _emit(args.format, REPORT_COLUMNS, _REPORTS[args.which](args))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -340,17 +320,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # run as the program, before numpy loads: one OpenBLAS thread, not a pool that a
-    # 27-point fit never uses, unless the user chose a thread count
-    if argv is None and "numpy" not in sys.modules and not os.environ.keys() & _BLAS_THREADS:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if argv is None:  # a program run, the only one that changes the process, before numpy loads
+        # one OpenBLAS thread, not a pool that a 27-point fit never uses, unless the user chose
+        if "numpy" not in sys.modules and not os.environ.keys() & _BLAS_THREADS:
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        # numpy.random loads OpenSSL's libcrypto (3.4 MiB) only through `_hashlib`: blocked for
+        # the run, hashlib uses CPython's built-in hashes; not if one is missing, as hashlib logs it
+        hashes = ["_md5", "_sha1", "_sha3", "_blake2"] + (
+            ["_sha2"] if sys.version_info >= (3, 12) else ["_sha256", "_sha512"])
+        if "_hashlib" not in sys.modules and all(map(importlib.util.find_spec, hashes)):
+            sys.modules["_hashlib"] = None
+        code = main(sys.argv[1:])
+        try:  # a failed flush keeps its data, and the flush at exit would fail on it again
+            sys.stdout.flush()
+        except OSError:  # so write it to nothing: main has said why, unless stdout's reader left
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        return code
     args = _build_parser().parse_args(argv)
     try:  # every subcommand takes the carrier, in TR 38.901's range; the fi law never reads it
         pathloss._check_finite("freq_ghz", args.freq_ghz, ge=0.5, le=100.0, unit="GHz")
         args.func(args)
-    except BrokenPipeError:  # stdout's reader left: say nothing, and let the flush at exit
-        if sys.stdout is sys.__stdout__:  # write to nothing rather than fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout's reader left: say nothing
+        pass
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -195,7 +195,8 @@ def _draw_blocks(model: CiModel | FiModel, distance_m: float, n: int, seed: int,
     block = block or max(n, 1)
     rng = np.random.default_rng(seed)  # drawn block by block, the same floats as at once
     for start in range(0, n, block):
-        values = mu + rng.normal(0.0, model.sigma_db, size=min(block, n - start))
+        with np.errstate(over="ignore"):  # reported below, naming the model
+            values = mu + rng.normal(0.0, model.sigma_db, size=min(block, n - start))
         # the extremes (NaN among them) show any draw that is not finite, with no array per draw
         if not -math.inf < values.min() <= values.max() < math.inf:
             raise ValueError(f"a draw of {model} at distance_m={distance_m} m is not finite")

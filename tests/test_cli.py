@@ -93,6 +93,12 @@ def src_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
+def buffered_env():
+    """`src_env()` without PYTHONUNBUFFERED, so that stdout is block-buffered, as it is
+    wherever the variable is unset: written data can then still be in the buffer at exit."""
+    return {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+
+
 def run_cli_process(*args):
     """Run `python -m a2a60.cli` with this checkout's sources importable."""
     return subprocess.run(
@@ -348,6 +354,16 @@ class TestCompareCommand:
         assert run_cli("compare", "--oxygen-db-per-km", value) == (
             1, "", f"error: --oxygen-db-per-km {message}\n")
 
+    @pytest.mark.parametrize("value, distances, far", [("1e308", "6:40:2", "40.0"),
+                                                       ("1e306", "6:4000:2", "4000.0")])
+    def test_oxygen_overflow_names_the_flag(self, run_cli, value, distances, far):
+        # the term overflows at the grid's far end: the error names the flag, not a law's loss
+        assert run_cli("compare", "--oxygen-db-per-km", value, "--distances", distances) == (
+            1, "", f"error: --oxygen-db-per-km {float(value)!r} overflows the oxygen loss at "
+                   f"{far} m\n")
+        assert run_cli("compare", "--oxygen-db-per-km", value, "--distances", "6:30:2"
+                       ).returncode == (0 if value == "1e306" else 1)
+
 
 class TestLines:
     """`_lines`, the one float-block writer of `compare`'s csv and of `sample`."""
@@ -536,21 +552,23 @@ class TestSampleCommand:
 
 
 class TestSampleWithoutOpenssl:
-    """`sample` imports numpy.random with `_hashlib` blocked, so OpenSSL's libcrypto does
-    not load, unless `_hashlib` is loaded already or a built-in hash module is missing."""
+    """A program run blocks `_hashlib` before `sample` imports numpy.random, so OpenSSL's
+    libcrypto does not load, unless `_hashlib` is loaded already or a built-in hash module
+    is missing."""
 
     def run_sample(self, before=""):
         """(stdout lines, main's stderr, whether `_hashlib` was loaded after
-        `import a2a60.cli, numpy` and after `main`, whether it can be, the names that
-        sys.modules maps to None) of a fresh interpreter that runs `before`, then `sample`.
-        The baseline comes after numpy's import, as `import a2a60.cli` loads no numpy,
-        and numpy 1.x imports numpy.random, and through it `_hashlib`, with itself."""
+        `import a2a60.cli, numpy` and after `main()`, whether it can be, the names that
+        sys.modules maps to None) of a fresh interpreter that runs `before`, then `sample`
+        as the program: `main()` with sys.argv set. The baseline comes after numpy's
+        import, as `import a2a60.cli` loads no numpy, and numpy 1.x imports numpy.random,
+        and through it `_hashlib`, with itself."""
         code = (f"{before}\n"
                 "import importlib.util, json, sys\n"
                 "import a2a60.cli, numpy\n"
-                "imported = '_hashlib' in sys.modules\n"
-                "code = a2a60.cli.main(sys.argv[1:])\n"
-                "print(json.dumps([code, imported, '_hashlib' in sys.modules,\n"
+                "imported = sys.modules.get('_hashlib') is not None\n"
+                "code = a2a60.cli.main()\n"
+                "print(json.dumps([code, imported, sys.modules.get('_hashlib') is not None,\n"
                 "                  importlib.util.find_spec('_hashlib') is not None,\n"
                 "                  sorted(k for k, v in sys.modules.items() if v is None)]),\n"
                 "      file=sys.stderr)\n")
@@ -566,7 +584,7 @@ class TestSampleWithoutOpenssl:
         lines, stderr, imported, loaded, _, blocked = self.run_sample()
         assert (lines, stderr) == (library_lines("ci", 5, 0), "")
         assert loaded == imported
-        assert blocked == []
+        assert blocked == ([] if imported else ["_hashlib"])  # blocked for the rest of the run
 
     def test_missing_builtin_hash_declines(self):
         # a build without CPython's built-in hashes, where hashlib would log each missing one
@@ -595,10 +613,28 @@ class TestSampleWithoutOpenssl:
 def test_stdout_closed_early_exits_quietly(args):
     # as `a2a60 ... | head -1` does, with blocks of lines still to write
     with subprocess.Popen([sys.executable, "-m", "a2a60.cli", *args], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, env=src_env()) as process:
+                          stderr=subprocess.PIPE, env=buffered_env()) as process:
         assert process.stdout.readline()
         process.stdout.close()
         assert (process.stderr.read(), process.wait(timeout=120)) == (b"", 0)
+
+
+def test_stdout_closed_before_a_short_output_exits_quietly():
+    # fit's one row is still buffered when main returns; the flush at exit must not fail
+    with subprocess.Popen([sys.executable, "-m", "a2a60.cli", "fit", "--model", "ci"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=buffered_env()) as process:
+        process.stdout.close()
+        assert (process.stderr.read(), process.wait(timeout=120)) == (b"", 0)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+def test_full_stdout_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        result = subprocess.run([sys.executable, "-m", "a2a60.cli", "fit", "--model", "ci"],
+                                stdout=full, stderr=subprocess.PIPE, text=True,
+                                env=buffered_env())
+    assert (result.returncode, result.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
 
 class TestReportCommand:
@@ -885,6 +921,7 @@ class TestCliContract:
     @example(["sample", "--distance=20", "--n=2", "--sigma=1e308"])
     @example(["sample", "--distance=20", "--n=1000", f"--sigma={sys.float_info.max!r}"])
     @example(["compare", "--oxygen-db-per-km=1e308"])
+    @example(["compare", "--oxygen-db-per-km=1e306", "--distances=6:4000:2"])
     @example(["compare", "--distances=1:150:1e-300"])
     def test_exit_code_and_streams(self, argv):
         out, err = io.StringIO(), io.StringIO()
@@ -1107,3 +1144,33 @@ class TestBlasThreads:
         if not openblas:
             pytest.skip("numpy's BLAS is not OpenBLAS")
         assert (code, threads) == (0, 1)
+
+
+def test_main_with_arguments_leaves_the_process_as_it_found_it():
+    """In a fresh interpreter, `main(argv)` for `sample`, then for a `compare` whose
+    stdout pipe closes after a line: `_hashlib` is not blocked, hashlib offers what it
+    offers after a plain `import numpy.random`, and os.environ and fd 1 are unchanged."""
+    code = ("import json, os, sys\n"
+            "import a2a60.cli\n"
+            "environ, pipe = dict(os.environ), os.fstat(1)\n"
+            "codes = [a2a60.cli.main(['sample', '--distance', '20', '--n', '5']),\n"
+            "         a2a60.cli.main(['compare', '--distances', '1:150:0.01'])]\n"
+            "import hashlib\n"
+            "fd1 = os.fstat(1)\n"
+            "print(json.dumps([codes, sorted(k for k, v in sys.modules.items() if v is None),\n"
+            "                  sorted(hashlib.algorithms_available), dict(os.environ) == environ,\n"
+            "                  (fd1.st_dev, fd1.st_ino) == (pipe.st_dev, pipe.st_ino)]),\n"
+            "      file=sys.stderr, flush=True)\n"
+            "os._exit(0)  # the flush at exit would fail on the closed pipe, as in any caller\n")
+    with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=program_env()) as process:
+        assert process.stdout.readline()
+        process.stdout.close()
+        stderr, returncode = process.stderr.read(), process.wait(timeout=120)
+    assert returncode == 0, stderr
+    codes, blocked, algorithms, same_environ, same_fd1 = json.loads(stderr)
+    plain = subprocess.run([sys.executable, "-c", "import json, hashlib, numpy.random\n"
+                            "print(json.dumps(sorted(hashlib.algorithms_available)))"],
+                           capture_output=True, text=True, env=program_env())
+    assert (codes, blocked, same_environ, same_fd1) == ([0, 0], [], True, True)
+    assert algorithms == json.loads(plain.stdout)
