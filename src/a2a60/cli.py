@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         return code
     args = _build_parser().parse_args(argv)
     try:  # every subcommand takes the carrier, in TR 38.901's range; the fi law never reads it
-        pathloss._check_finite("freq_ghz", args.freq_ghz, ge=0.5, le=100.0, unit="GHz")
+        pathloss._check_finite("--freq-ghz", args.freq_ghz, ge=0.5, le=100.0, unit="GHz")
         args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:  # stdout's reader left: say nothing

@@ -21,10 +21,11 @@ environment variable to load fixtures from another directory instead.
 import csv
 import io
 import os
-import warnings
+import re
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 
@@ -140,6 +141,15 @@ def _table(rows, blank, dtype) -> np.ndarray:
     return table
 
 
+@cache
+def _numpy_refuses_float_integers() -> bool:
+    """Whether numpy refuses "1.5" as an integer: from 1.23 until a later release it reads 1."""
+    try:
+        return np.loadtxt(["1.5"], dtype=np.int64).item() != 1
+    except ValueError as exc:  # reading 1, it warns; an error filter makes that the cause
+        return not isinstance(exc.__cause__, Warning)
+
+
 def _bulk_raw_table(handle, path=None) -> np.ndarray:
     """The raw trials of `handle`, which stands at its header, in one np.loadtxt call on
     `path`, the file `handle` reads (numpy reads a file it opens in chunks), or else on
@@ -148,29 +158,29 @@ def _bulk_raw_table(handle, path=None) -> np.ndarray:
     a wrong width, a value out of range, a line past the csv field limit, or non-ASCII text
     (numpy's integer parser takes some non-ASCII letters for digits)."""
     start, count, line, limit = handle.tell(), 0, 0, csv.field_size_limit()
+    rows = blank = False  # numpy warns of no row after the header, and of a blank line under max_rows
     # in reads no longer than the csv field limit, only a line open across reads can pass it
     while text := handle.read(max(min(_BULK_CHUNK, limit), 1)):
-        if "\r" in text:  # rare, and slow to count where absent; "\r\n" is one break
-            count -= text.count("\r\n")
-            text = text.replace("\r", "\n")
-        count += text.count("\n")
+        if text.endswith("\r"):  # with the "\n" that may follow: "\r\n" is one line break
+            text += handle.read(1)
+        if "\r" in text:  # rare, so two more scans of the read run only where it is
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         first, last = text.find("\n"), text.rfind("\n")  # both -1 if the open line goes on
         if (line + (first if first >= 0 else len(text)) > limit or not text.isascii()
                 or any(char in text for char in _NUMPY_ONLY_SPACE)):
             raise ValueError("left to the row-by-row reader")
+        rows = rows or bool(text[0 if count else (first + 1 or len(text)):].strip("\n"))
+        blank = blank or line == first == 0 or re.search("\n\n", text) is not None
+        count += text.count("\n")
         line = len(text) - last - 1 if last >= 0 else line + len(text)  # the open line's length
+    if not rows:
+        return np.empty(0, _RAW_DTYPE)
     handle.seek(start)
     # numpy's opener fetches a URL (never an absolute name) and decompresses by suffix
     name = isinstance(path, (str, bytes, os.PathLike)) and os.path.abspath(os.fsdecode(path))
     source = name if name and not name.endswith((".gz", ".bz2", ".xz", ".lzma")) else handle
-    with warnings.catch_warnings():  # numpy warns of no rows, and of blank lines given max_rows
-        warnings.simplefilter("ignore", UserWarning)
-        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.23 on: "1.5" read as 1
-        try:
-            table = np.loadtxt(source, delimiter=",", dtype=_RAW_DTYPE, comments=None, ndmin=1,
-                               skiprows=1, encoding="utf-8", max_rows=count + 1)
-        except DeprecationWarning:  # one from numpy's parser comes as a ValueError's cause
-            raise ValueError("left to the row-by-row reader") from None
+    table = np.loadtxt(source, delimiter=",", dtype=_RAW_DTYPE, comments=None, ndmin=1, skiprows=1,
+                       encoding="utf-8", max_rows=None if blank else count + 1)
     if len(table) > count:  # numpy split a line the csv module does not
         raise ValueError("left to the row-by-row reader")
     _check_fields((column, table[column]) for column in RAW_COLUMNS)
@@ -191,9 +201,9 @@ def _read(source, schemas, path=None) -> np.ndarray:
     rows, converted as they stream in. `source` is a path or an open stream (of the file
     at `path`, if given). Every conversion or range error becomes a CsvFormatError naming the row.
 
-    Raw trials from a seekable source are parsed in bulk; if that fails, the
-    source is read again from where it started, row by row, which either
-    reads it or locates and reports the error.
+    Raw trials from a seekable source are parsed in bulk, unless numpy reads "1.5"
+    as an integer; if that fails, the source is read again from where it started,
+    row by row, which either reads it or locates and reports the error.
     """
     if not hasattr(source, "read"):
         with _open_utf8(source) as handle:
@@ -209,7 +219,7 @@ def _read(source, schemas, path=None) -> np.ndarray:
             raise CsvFormatError(f"unrecognized header {list(header)}; "
                                  f"missing columns: {sorted(missing)}")
         converters, dtype = schemas[header]
-        if header == RAW_COLUMNS and start is not None:
+        if header == RAW_COLUMNS and start is not None and _numpy_refuses_float_integers():
             try:
                 source.seek(start)
                 return _bulk_raw_table(source, path)

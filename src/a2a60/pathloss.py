@@ -157,8 +157,9 @@ def mean_pl(model: CiModel | FiModel, distance_m):
         raise TypeError(f"expected CiModel or FiModel, got {type(model).__name__}")
     _check_finite("distance_m", distance_m, ge=REFERENCE_DISTANCE_M, unit="m",
                   note=" (the reference distance)")
+    log, slope = _log10(distance_m), 10.0 * model.ple  # dB per decade; inf past |ple| = 1.79e307
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, naming the distance
-        pl = model.intercept_db + 10.0 * model.ple * _log10(distance_m)
+        pl = model.intercept_db + (slope * log if math.isfinite(slope) else model.ple * (10.0 * log))
     return _check_result(pl, distance_m, f"mean path loss of {model}")
 
 

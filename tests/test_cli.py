@@ -469,6 +469,14 @@ class TestSampleCommand:
         assert model in result.stderr
         assert "at distance_m=20.0 m is not finite" in result.stderr
 
+    @pytest.mark.parametrize("distance, mean", [("1", 68.08001887174638),
+                                                ("1.2", 7.918124604762482e+307)])
+    def test_huge_exponent_near_the_reference_distance(self, run_cli, distance, mean):
+        # 10 * ple overflows, the loss at these distances does not
+        result = run_cli("sample", "--distance", distance, "--n", "2", "--ple", "1e308",
+                         "--sigma", "0")
+        assert result == (0, f"{mean!r}\n" * 2, "")
+
     def test_overflow_past_the_first_block_leaves_stdout_empty(self, run_cli):
         # seed 2 first overflows at draw 2989, in the third block of 1024
         result = run_cli("sample", "--distance", "20", "--sigma", "5e307", "--n", "5000",
@@ -767,7 +775,7 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize(
         "args, field",
         [
-            (("fit", "--model", "ci", "--freq-ghz", "nan"), "freq_ghz"),
+            (("fit", "--model", "ci", "--freq-ghz", "nan"), "--freq-ghz"),
             (("sample", "--distance", "nan", "--n", "2"), "distance_m"),
             (("sample", "--distance", "20", "--n", "2", "--sigma", "nan"), "sigma_db"),
         ],
@@ -786,7 +794,7 @@ class TestNonFiniteInputs:
         # the fi law never reads the carrier, so nothing but the CLI checks it
         result = run_cli(*args, "--freq-ghz", freq)
         assert (result.returncode, result.stdout) == (1, "")
-        assert result.stderr.startswith("error: freq_ghz must be ")
+        assert result.stderr.startswith("error: --freq-ghz must be ")
         assert result.stderr.count("\n") == 1
         ci = ["ci" if arg == "fi" else arg for arg in args]
         assert result == run_cli(*ci, "--freq-ghz", freq)
@@ -805,7 +813,7 @@ class TestNonFiniteInputs:
     def test_carrier_outside_tr38901_range_is_one_error(self, run_cli, args, freq):
         # every subcommand takes the carrier in TR 38.901's 0.5-100 GHz, as compare's references do
         assert run_cli(*args, "--freq-ghz", freq) == (
-            1, "", f"error: freq_ghz must be >= 0.5 GHz and <= 100 GHz, got {float(freq)} GHz\n")
+            1, "", f"error: --freq-ghz must be >= 0.5 GHz and <= 100 GHz, got {float(freq)} GHz\n")
 
     @pytest.mark.parametrize("freq", ["0.5", "100"])
     @pytest.mark.parametrize("args", CARRIER_COMMANDS.values(), ids=CARRIER_COMMANDS)
@@ -815,8 +823,8 @@ class TestNonFiniteInputs:
         assert result.stdout
 
     @pytest.mark.parametrize("args, field", [
-        (("fit", "--model", "ci", "--freq-ghz", "1e308"), "freq_ghz"),
-        (("report", "--which", "table1", "--freq-ghz", "1e308"), "freq_ghz"),
+        (("fit", "--model", "ci", "--freq-ghz", "1e308"), "--freq-ghz"),
+        (("report", "--which", "table1", "--freq-ghz", "1e308"), "--freq-ghz"),
         (("fit", "--model", "ci", "--input"), "path_loss_db"),
         (("fit", "--model", "fi", "--input"), "path_loss_db"),
     ], ids=["fit-carrier", "report-carrier", "fit-ci-losses", "fit-fi-losses"])

@@ -16,6 +16,7 @@ import tempfile
 import urllib.request
 import warnings
 from collections import Counter
+from functools import cache
 from pathlib import Path
 from unittest import mock
 
@@ -169,7 +170,10 @@ def raw_lines(rows, newline, final=True):
 
 @pytest.fixture
 def bulk_outcomes(monkeypatch):
-    """What each bulk parse of a raw CSV did, "parsed" or "declined", in call order."""
+    """What each bulk parse of a raw CSV did, "parsed" or "declined", in call order; run on
+    any numpy, as the tests are about the parse: one that reads "1.5" as an integer would
+    have every raw file read row by row."""
+    monkeypatch.setattr(dataset, "_numpy_refuses_float_integers", lambda: True)
     outcomes = []
 
     def spy(*args, parse=dataset._bulk_raw_table):
@@ -417,37 +421,61 @@ class TestBulkParse:
         assert table.tolist() == [(6.0, 12.0, 0, 0, 0, 90.0), (6.0, 12.0, 0, 0, trial, 91.0)]
 
     @pytest.mark.parametrize("action", ["default", "ignore", "error"])
-    def test_numpy_that_reads_a_float_as_an_integer(self, tmp_path, monkeypatch, bulk_outcomes,
-                                                   action):
-        # numpy 1.23 reads "1.5" in an integer column as 1 and warns of it, under
-        # any warnings filter: the file is declined, and the row-by-row reader
-        # names the row
-        loadtxt = np.loadtxt
+    def test_numpy_that_reads_a_float_as_an_integer(self, tmp_path, monkeypatch, action):
+        # numpy 1.23, until that deprecation expired, reads "1.5" in an integer column as 1
+        # and warns of it (an error filter makes the warning a ValueError's cause): one probe
+        # per process finds it, under any filter, and every raw file is then read row by row
+        calls, loadtxt = [], np.loadtxt
 
         def lenient_loadtxt(fname, dtype, **kwargs):
-            table = loadtxt(fname, dtype=[(name, "f8") for name in dtype.names], **kwargs)
-            if any((table[name] % 1).any() for name in dtype.names if dtype[name].kind == "i"):
-                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                              DeprecationWarning, stacklevel=2)
-            return table.astype(dtype)
+            calls.append(fname)
+            floats = loadtxt(fname, dtype=float, **kwargs)
+            if (floats % 1).any():
+                try:
+                    warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                                  DeprecationWarning, stacklevel=2)
+                except DeprecationWarning as exc:
+                    raise ValueError("could not convert string to int64") from exc
+            return floats.astype(dtype)
 
         monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
-        path = tmp_path / "raw.csv"
-        for rows, outcome in ((CHUNK_ROWS, "parsed"), (["6,12,0,0,0,90.0", "6,12,1.5,0,0,90.0"],
-                                                        "declined")):
-            text = raw_lines(rows, "\n")
-            path.write_text(text, encoding="utf-8")
-            bulk_outcomes.clear()
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter(action)
-                loaded, row_by_row = load_outcome(path), load_outcome(UnseekableStream(text))
-            assert (bulk_outcomes, caught) == ([outcome], [])
-            if outcome == "declined":
-                assert loaded == row_by_row == ("row 3: column tx_beam_idx: invalid literal "
-                                                "for int() with base 10: '1.5'")
-            else:
-                assert loaded.dtype == row_by_row.dtype == dataset._RAW_DTYPE
-                assert loaded.tolist() == row_by_row.tolist()
+        probe = dataset._numpy_refuses_float_integers
+        monkeypatch.setattr(dataset, "_numpy_refuses_float_integers", cache(probe.__wrapped__))
+        path, loaded = tmp_path / "raw.csv", []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            for rows in (CHUNK_ROWS, ["6,12,0,0,0,90.0", "6,12,1.5,0,0,90.0"], CHUNK_ROWS):
+                text = raw_lines(rows, "\n")
+                path.write_text(text, encoding="utf-8")
+                loaded.append((load_outcome(path), load_outcome(UnseekableStream(text))))
+        assert calls == [["1.5"]]  # the probe, once; no bulk parse
+        assert [str(w.message) for w in caught] == (
+            ["loadtxt(): Parsing an integer via a float is deprecated."] * (action == "default"))
+        assert loaded[1] == ("row 3: column tx_beam_idx: invalid literal for int() with base "
+                             "10: '1.5'",) * 2
+        for table, row_by_row in (loaded[0], loaded[2]):
+            assert table.dtype == row_by_row.dtype == dataset._RAW_DTYPE
+            assert table.tolist() == row_by_row.tolist()
+
+    def test_probe_of_numpy(self):
+        # the probe agrees with numpy's parser, and loads no module
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            try:
+                reads_one = np.loadtxt(["1.5"], dtype=np.int64).item() == 1
+            except ValueError:
+                reads_one = False
+        assert dataset._numpy_refuses_float_integers() is not reads_one
+        code = ("import sys, warnings\n"
+                "warnings.simplefilter('ignore', DeprecationWarning)\n"
+                "from a2a60.dataset import _numpy_refuses_float_integers as probe\n"
+                "before = set(sys.modules)\n"
+                "probe()\n"
+                "print(sorted(set(sys.modules) - before))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
     def test_file_advanced_by_next_is_read_from_there(self, tmp_path):
         # a text file read by next() cannot tell its position, so it is read row by row
@@ -460,6 +488,7 @@ class TestBulkParse:
     @pytest.mark.parametrize("text", [RAW_HEADER, RAW_HEADER + "\n\r\n\n"])
     def test_file_without_rows_is_an_empty_table(self, text):
         # numpy warns "input contained no data" on a parse of blank lines alone
+        dataset._numpy_refuses_float_integers()  # on a numpy that reads "1.5" as 1, it warns
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             tables = load_three_ways(text)
@@ -484,6 +513,39 @@ class TestBulkParse:
         for table in (bulk, from_path, from_stream):
             assert table.dtype == row_by_row.dtype == dataset._RAW_DTYPE
             assert table.tolist() == row_by_row.tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 23, 1 << 18])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("blank", [None, 0, 5, len(CHUNK_ROWS), "only"])
+    def test_max_rows_unless_a_blank_line(self, monkeypatch, chunk, newline, blank):
+        # numpy warns of a blank line given max_rows, and of a file with no rows: it is
+        # given max_rows only where no line is blank, and no call where no row follows
+        # the header; a "\r\n" split across two reads is one line break, not a blank line
+        rows = ["", "", ""] if blank == "only" else CHUNK_ROWS.copy()
+        if isinstance(blank, int):
+            rows.insert(blank, "")
+        text = raw_lines(rows, newline)
+        monkeypatch.setattr(dataset, "_BULK_CHUNK", chunk)
+        given, loadtxt = [], np.loadtxt
+
+        def spy(*args, max_rows, **kwargs):
+            given.append(max_rows)
+            return loadtxt(*args, max_rows=max_rows, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        table = dataset._bulk_raw_table(io.StringIO(text, ""))
+        # without a blank line, one more than the line breaks: the header's and each row's
+        assert given == {None: [len(rows) + 2], "only": []}.get(blank, [None])
+        assert table.tolist() == load_csv(UnseekableStream(text, "")).tolist()
+
+    @settings(deadline=None)
+    @given(text=raw_text_of_any_rows())
+    def test_no_warning_leaves_the_parse(self, text):
+        dataset._numpy_refuses_float_integers()  # on a numpy that reads "1.5" as 1, it warns
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_three_ways(text, newline="")
+        assert caught == []
 
     @pytest.mark.parametrize("chunk", [1, 23, 64])
     @pytest.mark.parametrize("bad", ["6,12,0,0,0,abc", "6,12,0,0", "6,12,0,20,0,90.0",

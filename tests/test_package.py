@@ -170,11 +170,12 @@ SRC = Path(a2a60.__file__).parents[1]
 LIBRARY = ("published", "pathloss", "dataset", "fitting", "tr38901", "beams")
 
 
-def run_python(code, *args, path=SRC):
-    """The stdout of a fresh interpreter running `code` with `path` first on sys.path,
-    as JSON; it must exit 0."""
-    result = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {str(path)!r})\n"
-                             + code, *args], capture_output=True, text=True)
+def run_python(code, *args, path=SRC, options=()):
+    """The stdout of a fresh interpreter, started with `options`, running `code` with `path`
+    first on sys.path, as JSON; it must exit 0."""
+    result = subprocess.run([sys.executable, *options, "-c",
+                             f"import sys; sys.path.insert(0, {str(path)!r})\n" + code, *args],
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 
@@ -250,6 +251,84 @@ def test_threads_first_touching_a_module_all_see_it_run():
             "print(json.dumps([errors, sum(thread.is_alive() for thread in threads)]))\n")
     for _ in range(3):
         assert run_python(code) == [[], 0]
+
+
+# 8 threads at once, each running every call, from a different first one: the first call
+# into each module runs it, so the threads first-touch the modules together; each result
+# is compared with the same call's serial result, taken after the threads finish
+SHARED_USE = """\
+import json, os, threading, time, warnings
+import numpy as np
+import a2a60
+raw, blank, header_only = sys.argv[1:]
+filters, environ = warnings.filters, dict(os.environ)
+snapshot = list(filters)
+distances = np.linspace(1.0, 150.0, 301)
+calls = [
+    lambda: a2a60.load_csv(raw).tolist(),
+    lambda: a2a60.load_csv(blank).tolist(),
+    lambda: a2a60.load_csv(header_only).tolist(),
+    lambda: a2a60.load_measurement_points().tolist(),
+    lambda: a2a60.aggregate_trials(a2a60.load_csv(raw)),
+    lambda: a2a60.fit_ci(*a2a60.to_fit_points(a2a60.load_measurement_points()), 60.48),
+    lambda: a2a60.fit_fi(*a2a60.to_fit_points(a2a60.load_rank_points(2), rank=2)),
+    lambda: a2a60.sample_pl(a2a60.CiModel(60.48, 2.25, 3.56), 20.0, 1000, 7).tolist(),
+    lambda: a2a60.mean_pl(a2a60.FiModel(67.03, 2.33), distances).tolist(),
+    lambda: a2a60.pl_3gpp_los(a2a60.scenario_defaults("umi"), 60.48, distances).tolist(),
+]
+barrier, done, results, errors, seen = threading.Barrier(9), threading.Event(), [], [], []
+
+def use(first):
+    barrier.wait()
+    for _ in range(3):
+        for i in range(first, first + len(calls)):
+            try:
+                results.append((i % len(calls), calls[i % len(calls)]()))
+            except BaseException as exc:
+                errors.append(repr(exc))
+
+def watch():  # the filters as other threads see them while the calls run
+    barrier.wait()
+    while not done.is_set():
+        if warnings.filters is not filters or warnings.filters != snapshot:
+            seen.append(repr(warnings.filters[:3]))
+        time.sleep(1e-4)
+
+threads = [threading.Thread(target=use, args=(i,)) for i in range(8)]
+watcher = threading.Thread(target=watch)
+for thread in (*threads, watcher):
+    thread.start()
+for thread in threads:
+    thread.join(120)
+done.set()
+watcher.join(60)
+serial = [call() for call in calls]
+print(json.dumps({
+    "errors": errors, "alive": sum(thread.is_alive() for thread in threads),
+    "calls": len(results), "different": sorted({i for i, result in results if result != serial[i]}),
+    "filters seen": seen[:3], "filters after": warnings.filters is filters and filters == snapshot,
+    "environ after": dict(os.environ) == environ,
+}))
+"""
+
+
+def test_threads_sharing_the_library_leave_the_process_as_it_was(tmp_path):
+    # under -W error, no call warns; every result equals the serial one, and no call
+    # changes warnings.filters or os.environ, even for a moment
+    rows = [f"{d},{h},{tx},{rx},{t},{60 + d / 2 + tx / 8 + rx / 16 + t / 32}"
+            for d in (6, 10, 20, 40) for h in (6, 12) for tx in range(20) for rx in range(20)
+            for t in range(5)]
+    header = "distance_m,height_m,tx_beam_idx,rx_beam_idx,trial_idx,path_loss_db"
+    files = {"raw.csv": "\n".join([header, *rows]) + "\n",
+             "blank.csv": "\r\n".join([header, *("\r\n" * (i % 1000 == 0) + row
+                                                 for i, row in enumerate(rows))]) + "\r\n",
+             "header_only.csv": header + "\r\n\r\n\r\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8", newline="")
+    assert run_python(SHARED_USE, *(str(tmp_path / name) for name in files),
+                      options=("-W", "error")) == {
+        "errors": [], "alive": 0, "calls": 8 * 3 * 10, "different": [], "filters seen": [],
+        "filters after": True, "environ after": True}
 
 
 def test_module_whose_first_run_raises_is_left_unrun(tmp_path):

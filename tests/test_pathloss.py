@@ -200,6 +200,20 @@ class TestArrayDistances:
         assert str(array.value) == str(scalar.value)
         assert str(array.value).endswith("at distance_m=100.0 m is not finite")
 
+    @pytest.mark.parametrize("ple", [1e308, -1e308, 1.7976931348623157e308])
+    def test_exponent_past_a_tenth_of_the_largest_float(self, ple):
+        # 10 * ple alone overflows, but the loss is the intercept at 1 m, and finite
+        # near it; the law is then evaluated as ple * (10 * log10(d)), the same value
+        model = FiModel(67.03, ple)
+        distances = [1.0, 1.2, 1.0 + 2 ** -52]
+        expected = [67.03 + ple * (10.0 * math.log10(d)) for d in distances]
+        assert [mean_pl(model, d) for d in distances] == expected
+        assert {type(mean_pl(model, d)) for d in distances} == {float}
+        assert mean_pl(model, np.array(distances)).tolist() == expected
+        assert mean_pl(CiModel(60.48, ple), 1.0) == friis_reference_pl(60.48)
+        with pytest.raises(ValueError, match="at distance_m=20.0 m is not finite"):
+            mean_pl(model, np.array([1.0, 20.0]))
+
 
 class TestColumnCheck:
     def test_column_passes_if_its_extremes_do(self):

@@ -20,6 +20,7 @@ from a2a60 import (
     rank_beam_pairs,
     save_aggregated_csv,
 )
+from a2a60 import dataset
 from a2a60.beams import BEAM_SPACING_DEG
 from a2a60.dataset import MEASUREMENTS_FILE, fixture_path
 
@@ -114,10 +115,11 @@ def traced(call, *args):
         tracemalloc.stop()
 
 
-def test_parse_holds_one_table(campaign_raw, warm):
+def test_parse_holds_one_table(campaign_raw, warm, monkeypatch):
     # the bulk parse is one np.loadtxt call, its table sized by a count of line
     # breaks (a "\r\n" is one): numpy reads a path in chunks, and a stream a line
-    # at a time
+    # at a time; on any numpy, as on one that reads "1.5" as 1 the parse is not used
+    monkeypatch.setattr(dataset, "_numpy_refuses_float_integers", lambda: True)
     text = campaign_raw[1].read_text(encoding="utf-8")
     with open(campaign_raw[1], newline="", encoding="utf-8") as stream:
         for source in (campaign_raw[1], stream, io.StringIO(text.replace("\n", "\r\n"), "")):
