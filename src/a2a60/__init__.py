@@ -19,8 +19,7 @@ _MODULES = {  # each library module, in registration order, and the public names
     "published": "",
     "pathloss": "CiModel FiModel free_space_pl friis_reference_pl mean_pl sample_pl",
     "dataset": "AggregatedPoint BeamScanRecord CsvFormatError EmptySelectionError aggregate_trials "
-               "load_csv load_measurement_points load_rank_points load_reference_curves "
-               "save_aggregated_csv to_fit_points",
+               "load_csv load_measurement_points load_rank_points save_aggregated_csv to_fit_points",
     "fitting": "DegenerateFitError FitReport fit_ci fit_fi",
     "tr38901": "ScenarioParams oxygen_loss pl_3gpp_los scenario_defaults",
     "beams": "PUBLISHED_TABLE BeamPairRanking MisalignmentTable beam_angle fit_misalignment_table "

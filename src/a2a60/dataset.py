@@ -13,9 +13,9 @@ which the table holds as rank 1):
     distance_m,height_m,rank,path_loss_db
 
 The bundled files under ``a2a60/data/`` are in aggregated form; they
-transcribe the per-point markers and reference curves of the campaign's
-published figures (see README for provenance). Set the ``A2A_DATA_DIR``
-environment variable to load fixtures from another directory instead.
+transcribe the per-point markers of the campaign's published figures (see
+README for provenance). Set the ``A2A_DATA_DIR`` environment variable to
+load fixtures from another directory instead.
 """
 
 import csv
@@ -39,12 +39,9 @@ DATA_DIR_ENV = "A2A_DATA_DIR"
 RAW_COLUMNS = ("distance_m", "height_m", "tx_beam_idx", "rx_beam_idx",
                "trial_idx", "path_loss_db")
 AGGREGATED_COLUMNS = ("distance_m", "height_m", "rank", "path_loss_db")
-CURVE_COLUMNS = ("curve", "distance_m", "path_loss_db")
 
 MEASUREMENTS_FILE = "fig2_measurements.csv"
 RANK_FILES = {2: "fig6_rank2.csv", 3: "fig6_rank3.csv", 9: "fig6_rank9.csv"}
-REFERENCE_CURVES_FILE = "fig5_reference_curves.csv"
-_CURVE_DTYPE = np.dtype([(name, object if name == "curve" else "f8") for name in CURVE_COLUMNS])
 _BATCH_ROWS = 1 << 13  # aggregate_trials averages whole points, at most this many rows at a time
 _WINDOW = published.SCAN_WINDOW_BEAMS
 _PAIRS_PER_POINT = _WINDOW ** 2  # the (tx, rx) pairs of one scan, ranked 1 to this
@@ -75,7 +72,6 @@ _RAW_DTYPE, _AGGREGATED_DTYPE = (np.dtype([(n, "f8" if _FIELDS[n][0] is float el
 # header -> (one text converter per column, the table's dtype)
 _MEASUREMENT_SCHEMAS = {dtype.names: (tuple(_FIELDS[n][0] for n in dtype.names), dtype)
                         for dtype in (_RAW_DTYPE, _AGGREGATED_DTYPE)}
-_CURVE_SCHEMAS = {CURVE_COLUMNS: ((str, float, float), _CURVE_DTYPE)}
 
 
 def _check_fields(items) -> None:
@@ -119,20 +115,18 @@ def AggregatedPoint(distance_m: float, height_m: float, path_loss_db: float,
 
 def _table(rows, blank, dtype) -> np.ndarray:
     """The rows as one structured array of `dtype`; if a column is out of range,
-    the first row out of range is found and cited; curve names have no range.
-    `rows` is a `_converted` generator, which names the row of an integer numpy
-    cannot hold."""
+    the first row out of range is found and cited. `rows` is a `_converted`
+    generator, which names the row of an integer numpy cannot hold."""
     try:
         table = np.fromiter(rows, dtype)
     except OverflowError as exc:  # an integer past 64 bits, in the row `rows` last yielded
         rows.throw(exc)
-    names = [name for name in dtype.names if name != "curve"]
     try:
-        _check_fields((name, table[name]) for name in names)
+        _check_fields((name, table[name]) for name in dtype.names)
     except ValueError:
-        for index, values in enumerate(table[names].tolist()):
+        for index, values in enumerate(table.tolist()):
             try:
-                _check_fields(zip(names, values))
+                _check_fields(zip(dtype.names, values))
             except ValueError as exc:
                 row_num = index + 2
                 for skipped in blank:
@@ -196,9 +190,9 @@ def _position(stream):
         return None
 
 
-def _read(source, schemas, path=None) -> np.ndarray:
-    """The table of a CSV whose header is one of `schemas`, built from its non-blank
-    rows, converted as they stream in. `source` is a path or an open stream (of the file
+def _read(source, path=None) -> np.ndarray:
+    """The table of a measurement CSV, built from its non-blank rows, converted as they
+    stream in; its header picks the schema. `source` is a path or an open stream (of the file
     at `path`, if given). Every conversion or range error becomes a CsvFormatError naming the row.
 
     Raw trials from a seekable source are parsed in bulk, unless numpy reads "1.5"
@@ -207,18 +201,18 @@ def _read(source, schemas, path=None) -> np.ndarray:
     """
     if not hasattr(source, "read"):
         with _open_utf8(source) as handle:
-            return _read(handle, schemas, source)
+            return _read(handle, source)
     start = _position(source)
     rows = csv.reader(source)
     try:
         header = tuple(next(rows, ()))
         if not header:
             raise CsvFormatError("missing header row")
-        if header not in schemas:
-            missing = min((set(columns) - set(header) for columns in schemas), key=len)
+        if header not in _MEASUREMENT_SCHEMAS:
+            missing = min((set(cols) - set(header) for cols in _MEASUREMENT_SCHEMAS), key=len)
             raise CsvFormatError(f"unrecognized header {list(header)}; "
                                  f"missing columns: {sorted(missing)}")
-        converters, dtype = schemas[header]
+        converters, dtype = _MEASUREMENT_SCHEMAS[header]
         if header == RAW_COLUMNS and start is not None and _numpy_refuses_float_integers():
             try:
                 source.seek(start)
@@ -266,7 +260,7 @@ def _unconvertible(header, converters, row) -> str:
 def load_csv(source) -> np.ndarray:
     """Load a measurement CSV (path or open stream) as a structured array whose
     fields are the columns of its header, which picks the schema."""
-    return _read(source, _MEASUREMENT_SCHEMAS)
+    return _read(source)
 
 
 def aggregate_trials(trials: np.ndarray) -> list[BeamScanRecord]:
@@ -411,12 +405,3 @@ def load_rank_points(rank: int) -> np.ndarray:
             "(other ranks require beam-level data)"
         )
     return load_csv(fixture_path(RANK_FILES[rank]))
-
-
-def load_reference_curves() -> dict[str, list[tuple[float, float]]]:
-    """Bundled reference curves as {curve: [(distance_m, path_loss_db), ...]}."""
-    table = _read(fixture_path(REFERENCE_CURVES_FILE), _CURVE_SCHEMAS)
-    curves: dict[str, list[tuple[float, float]]] = {}
-    for curve, distance_m, path_loss_db in table.tolist():
-        curves.setdefault(curve, []).append((distance_m, path_loss_db))
-    return curves

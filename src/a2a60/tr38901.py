@@ -9,9 +9,9 @@ take a float distance or a 1-D array of them.
 The default geometries are the usual calibration values (UMi 10/1.5 m,
 UMa 25/1.5 m, RMa 35/1.5 m with 5 m average building height, indoor 3/1 m)
 and the default oxygen coefficient is 15 dB/km. These defaults are
-reverse-engineered: together they reproduce the bundled 60.48 GHz reference
-curves to better than 0.01 dB at 6 m (see tests), they are not given
-anywhere with the measurement data.
+reverse-engineered: together they reproduce the 60.48 GHz reference curves
+transcribed in tests/data/fig5_reference_curves.csv to better than 0.01 dB
+at 6 m; they are not given anywhere with the measurement data.
 """
 
 import math
@@ -57,8 +57,8 @@ def scenario_defaults(scenario: str,
                       oxygen_alpha_db_per_km: float = DEFAULT_OXYGEN_ALPHA_DB_PER_KM,
                       ) -> ScenarioParams:
     """Calibration-default parameters for `scenario` (see module docstring)."""
-    key = scenario.lower()
-    if key not in _SCENARIOS:
+    key = scenario.lower() if isinstance(scenario, str) else scenario
+    if key not in SCENARIOS:  # a tuple: an unhashable key is unknown too, not a TypeError
         raise ValueError(f"unknown scenario {scenario!r}, expected one of {SCENARIOS}")
     return ScenarioParams(key, *_SCENARIOS[key][2], oxygen_alpha_db_per_km=oxygen_alpha_db_per_km)
 

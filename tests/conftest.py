@@ -11,7 +11,7 @@ TEST_DATA = Path(__file__).parent / "data"
 def load_curve_fixture(name: str, key: str) -> dict[str, list[tuple[float, float]]]:
     """Read a test-side curve transcription as {series: [(d, pl), ...]}."""
     curves: dict[str, list[tuple[float, float]]] = {}
-    with open(TEST_DATA / name, newline="") as handle:
+    with open(TEST_DATA / name, newline="", encoding="utf-8") as handle:
         for row in csv.DictReader(handle):
             curves.setdefault(row[key], []).append(
                 (float(row["distance_m"]), float(row["path_loss_db"]))
@@ -37,6 +37,11 @@ def fit_curves():
 @pytest.fixture(scope="session")
 def height_curves():
     return load_curve_fixture("fig3_height_curves.csv", "curve")
+
+
+@pytest.fixture(scope="session")
+def reference_curves():
+    return load_curve_fixture("fig5_reference_curves.csv", "curve")
 
 
 @pytest.fixture(scope="session")

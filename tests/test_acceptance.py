@@ -25,7 +25,6 @@ from a2a60 import (
     friis_reference_pl,
     load_csv,
     load_rank_points,
-    load_reference_curves,
     mean_pl,
     pl_3gpp_los,
     rank_beam_pairs,
@@ -86,24 +85,23 @@ def test_criterion_4_height_independence(fig2_points):
           + ", ".join(f"h={h:g}: {p:.4f}" for h, p in ples.items()) + ")")
 
 
-def test_criterion_5_reference_curve_reproduction():
-    curves = load_reference_curves()
+def test_criterion_5_reference_curve_reproduction(reference_curves):
     worst_3gpp = 0.0
     checked = 0
     for scenario in ("umi", "uma", "rma", "inoo"):
         params = scenario_defaults(scenario)
-        for d, expected in curves[scenario]:
+        for d, expected in reference_curves[scenario]:
             err = abs(pl_3gpp_los(params, F, d) - expected)
             worst_3gpp = max(worst_3gpp, err)
             checked += 1
             assert err <= 0.05, (scenario, d, err)
     assert checked == 60
     worst_fspl = 0.0
-    for d, expected in curves["fspl"]:
+    for d, expected in reference_curves["fspl"]:
         err = abs(free_space_pl(F, d) - expected)
         worst_fspl = max(worst_fspl, err)
         assert err <= 0.01, (d, err)
-    assert len(curves["fspl"]) == 13
+    assert len(reference_curves["fspl"]) == 13
     print(f"ACCEPTANCE criterion 5: PASS (60 scenario samples, worst {worst_3gpp:.4f} dB; "
           f"13 free-space samples, worst {worst_fspl:.6f} dB)")
 
@@ -198,7 +196,7 @@ def test_criterion_8_property_suite(fig2_fit_points):
           "coincidence, sampling, aggregation, ranking oracle)")
 
 
-def test_criterion_9_cli_end_to_end():
+def test_criterion_9_cli_end_to_end(reference_curves):
     # byte-identical repeated runs
     for args in (("report", "--which", "table1"), ("compare", "--distances", "6:40:2")):
         first, second = run_cli(*args), run_cli(*args)
@@ -214,16 +212,15 @@ def test_criterion_9_cli_end_to_end():
     assert 2.30 <= float(fi_row["ple"]) <= 2.36
 
     # criterion 5 through the CLI: the scenario grid ...
-    curves = load_reference_curves()
     rows = parse_csv(run_cli("compare", "--distances", "6:40:2.42857142857143").stdout)
     assert len(rows) == 15
     for column in ("umi", "uma", "rma", "inoo"):
-        for row, (d, expected) in zip(rows, curves[column]):
+        for row, (d, expected) in zip(rows, reference_curves[column]):
             assert abs(float(row["distance_m"]) - d) < 1e-6
             assert abs(float(row[column]) - expected) <= 0.05
     # ... and the free-space grid
     rows = parse_csv(run_cli("compare", "--distances", "6:42:3").stdout)
-    for row, (d, expected) in zip(rows, curves["fspl"]):
+    for row, (d, expected) in zip(rows, reference_curves["fspl"]):
         assert abs(float(row["distance_m"]) - d) < 1e-9
         assert abs(float(row["fspl"]) - expected) <= 0.01
 

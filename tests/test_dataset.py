@@ -34,7 +34,6 @@ from a2a60 import (
     load_csv,
     load_measurement_points,
     load_rank_points,
-    load_reference_curves,
     save_aggregated_csv,
     to_fit_points,
 )
@@ -42,13 +41,11 @@ from a2a60.dataset import (
     DATA_DIR_ENV,
     MEASUREMENTS_FILE,
     RAW_COLUMNS,
-    REFERENCE_CURVES_FILE,
     fixture_path,
 )
 
 RAW_HEADER = "distance_m,height_m,tx_beam_idx,rx_beam_idx,trial_idx,path_loss_db\n"
 AGGREGATED_HEADER = "distance_m,height_m,rank,path_loss_db\n"
-CURVE_HEADER = "curve,distance_m,path_loss_db\n"
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
@@ -206,10 +203,6 @@ class TestBundledFixtures:
         with pytest.raises(ValueError, match="beam-level"):
             load_rank_points(5)
 
-    def test_reference_curves_load(self):
-        curves = load_reference_curves()
-        assert set(curves) == {"umi", "uma", "rma", "inoo", "fspl"}
-
     def test_data_dir_override(self, tmp_path, monkeypatch):
         target = tmp_path / MEASUREMENTS_FILE
         shutil.copy(str(fixture_path(MEASUREMENTS_FILE)), target)
@@ -227,36 +220,11 @@ class TestBundledFixtures:
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
         assert fixture_path(MEASUREMENTS_FILE) == tmp_path / MEASUREMENTS_FILE
 
-    def test_reference_curve_rows_are_checked(self, tmp_path, monkeypatch):
-        (tmp_path / REFERENCE_CURVES_FILE).write_text(
-            "curve,distance_m,path_loss_db\numi,6,84.5\n\numi,nan,85.0\n"
-        )
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        with pytest.raises(CsvFormatError, match="row 4: distance_m must be finite"):
-            load_reference_curves()
-
-    def test_reference_curve_row_that_does_not_convert_comes_first(self, tmp_path, monkeypatch):
-        # as in the measurement schemas, every row converts before any range is
-        # checked, so row 5 is reported over the range error on row 4
-        (tmp_path / REFERENCE_CURVES_FILE).write_text(
-            CURVE_HEADER + "umi,6,84.5\n\numi,nan,85.0\numa,6,abc\n"
-        )
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        with pytest.raises(CsvFormatError,
-                           match="^row 5: column path_loss_db: could not convert string"):
-            load_reference_curves()
-        (tmp_path / REFERENCE_CURVES_FILE).write_text(CURVE_HEADER + "umi,6\n")
-        with pytest.raises(CsvFormatError, match=r"^row 2: expected 3 fields \['curve', "):
-            load_reference_curves()
-
-    def test_reference_curves_group_by_name_in_file_order(self, tmp_path, monkeypatch):
-        (tmp_path / REFERENCE_CURVES_FILE).write_text(
-            CURVE_HEADER + "umi,6,84.5\nfspl,1,68\n\numi,9.25,87\n"
-        )
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        curves = load_reference_curves()
-        assert curves == {"umi": [(6.0, 84.5), (9.25, 87.0)], "fspl": [(1.0, 68.0)]}
-        assert {type(v) for points in curves.values() for point in points for v in point} == {float}
+    def test_data_directory_holds_only_what_a_loader_reads(self):
+        # the package ships measurement tables; figure transcriptions that only
+        # tests read live in tests/data/
+        shipped = {path.name for path in Path(dataset.__file__).with_name("data").iterdir()}
+        assert shipped == {MEASUREMENTS_FILE, *dataset.RANK_FILES.values()}
 
 
 class TestLoadRawCsv:
@@ -643,14 +611,6 @@ class TestTextEncoding:
         with pytest.raises(CsvFormatError, match=r"^not ASCII text: ordinal not in range\(128\)$"):
             load_csv(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
 
-    @pytest.mark.parametrize("at_row", [1, 200, 2002])
-    def test_reference_curves_not_utf8(self, tmp_path, monkeypatch, with_bad_byte, at_row):
-        (tmp_path / REFERENCE_CURVES_FILE).write_bytes(
-            with_bad_byte(CURVE_HEADER, "umi,6,84.5\n", at_row))
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
-        with pytest.raises(CsvFormatError, match="^not UTF-8 text: invalid start byte$"):
-            load_reference_curves()
-
     def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch):
         text = fixture_path(MEASUREMENTS_FILE).read_text(encoding="utf-8")
         (tmp_path / MEASUREMENTS_FILE).write_bytes(codecs.BOM_UTF8 + text.encode())
@@ -698,9 +658,9 @@ class TestTextEncoding:
         path = tmp_path / "raw.csv"
         path.write_bytes(codecs.BOM_UTF8 + (RAW_HEADER + "6,12,0,0,0,90.0\n").encode())
         code = ("import sys\n"
-                "from a2a60 import load_csv, load_measurement_points, load_reference_curves\n"
+                "from a2a60 import load_csv, load_measurement_points, load_rank_points\n"
                 "assert load_csv(sys.argv[1]).tolist() == [(6.0, 12.0, 0, 0, 0, 90.0)]\n"
-                "load_measurement_points(), load_reference_curves()\n"
+                "load_measurement_points(), load_rank_points(2)\n"
                 "print(sorted(name for name in sys.modules if 'utf_8_sig' in name))\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -768,6 +728,19 @@ class TestLoadAggregatedCsv:
             with pytest.raises(CsvFormatError,
                                match="^row 2: column rank: 9{20} exceeds 64 bits$"):
                 load_csv(source)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("6,nan,,85.5", "height_m must be finite"),
+        ("6,12,,abc", "column path_loss_db: could not convert"),
+        ("6,12,", "expected 4 fields"),
+    ])
+    def test_blank_rows_keep_row_numbers(self, bad, message):
+        # as in the raw schema: rows 3, 4 and 6 are blank, so the bad row is CSV row 7
+        rows = ("6,12,,85.5", "", "", "9,12,,90.25", "", bad)
+        with pytest.raises(CsvFormatError, match=f"^row 7: {message}"):
+            load_csv(io.StringIO(AGGREGATED_HEADER + "".join(r + "\n" for r in rows)))
+        with pytest.raises(CsvFormatError, match=f"^row 3: {message}"):
+            load_csv(io.StringIO(AGGREGATED_HEADER + f"\n{bad}\n\n9,12,,90.25\n"))
 
     def test_later_row_that_does_not_convert_comes_before_a_rank_range(self):
         # ranks are range-checked by column, after every row has converted

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from a2a60 import (
     ScenarioParams,
     fit_ci,
     free_space_pl,
-    load_reference_curves,
     mean_pl,
     oxygen_loss,
     pl_3gpp_los,
@@ -100,23 +100,20 @@ class TestBareFormulas:
 
 
 class TestBundledCurves:
-    def test_default_params_reproduce_reference_curves(self):
-        curves = load_reference_curves()
+    def test_default_params_reproduce_reference_curves(self, reference_curves):
         for scenario in ("umi", "uma", "rma", "inoo"):
             params = scenario_defaults(scenario)
-            for d, expected in curves[scenario]:
+            for d, expected in reference_curves[scenario]:
                 assert pl_3gpp_los(params, F, d) == pytest.approx(expected, abs=0.01), (
                     scenario, d,
                 )
 
-    def test_free_space_matches_reference_samples(self):
-        curves = load_reference_curves()
-        for d, expected in curves["fspl"]:
+    def test_free_space_matches_reference_samples(self, reference_curves):
+        for d, expected in reference_curves["fspl"]:
             assert free_space_pl(F, d) == pytest.approx(expected, abs=1e-4)
 
-    def test_curve_sample_counts(self):
-        curves = load_reference_curves()
-        assert {k: len(v) for k, v in curves.items()} == {
+    def test_curve_sample_counts(self, reference_curves):
+        assert {k: len(v) for k, v in reference_curves.items()} == {
             "umi": 15, "uma": 15, "rma": 15, "inoo": 15, "fspl": 13,
         }
 
@@ -218,6 +215,12 @@ class TestValidation:
             scenario_defaults("suburban")
         with pytest.raises(ValueError):
             ScenarioParams("umax", 10.0, 1.5)
+        for scenario in (5, None, ["umi"]):  # not text: the same ValueError, not an AttributeError
+            message = rf"^unknown scenario {re.escape(repr(scenario))}, expected one of \("
+            with pytest.raises(ValueError, match=message):
+                scenario_defaults(scenario)
+            with pytest.raises(ValueError, match=message):
+                ScenarioParams(scenario, 10.0, 1.5)
 
     def test_case_insensitive_defaults(self):
         assert scenario_defaults("UMi").scenario == "umi"
